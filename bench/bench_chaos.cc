@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "apps/registry.hh"
+#include "common.hh"
 #include "core/simulation.hh"
 #include "faas/service.hh"
 #include "metrics/analysis.hh"
@@ -72,7 +73,7 @@ parseOptions(int argc, char **argv)
             o.events = 6;
             o.faasSec = 4.0;
         } else {
-            fatal("unknown flag '%s'", arg.c_str());
+            bench::usageErrorFlag(arg);
         }
     }
     if (o.events < 2 || o.faasSec <= 0)

@@ -3,7 +3,7 @@
  * Energy/fairness benchmark: heterogeneous fabrics under skewed tenants.
  *
  * Sweeps fabric heterogeneity {uniform, 2-class, 3-class} x scheduler
- * {nimblock, prema, themis, learned} x workload {balanced, skewed}. The
+ * {nimblock, prema, themis} x workload {balanced, skewed}. The
  * skewed workload mixes heavy low-priority tenants into a crowd of
  * short interactive tenants under sustained queue pressure — the cell
  * where time-optimizing schedulers starve the heavies and a max-min
@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "apps/registry.hh"
+#include "common.hh"
 #include "core/simulation.hh"
 #include "metrics/analysis.hh"
 #include "metrics/fairness.hh"
@@ -69,7 +70,7 @@ parseOptions(int argc, char **argv)
         else if (arg == "--quick")
             o.events = 8;
         else
-            fatal("unknown flag '%s'", arg.c_str());
+            bench::usageErrorFlag(arg);
     }
     if (o.events < 4)
         fatal("need at least 4 events");
@@ -283,7 +284,7 @@ main(int argc, char **argv)
 
     AppRegistry registry = standardRegistry();
     const std::vector<std::string> schedulers = {"nimblock", "prema",
-                                                 "themis", "learned"};
+                                                 "themis"};
 
     std::printf("# bench_energy: %d events, seed %llu\n", opts.events,
                 static_cast<unsigned long long>(opts.seed));

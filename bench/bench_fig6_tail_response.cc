@@ -141,7 +141,6 @@ main(int argc, char **argv)
                 100.0 * worst_deviation);
     maybeWriteCsv(opts, csv);
     maybeWriteTraces(opts, env, algos);
-    maybeWritePolicyTrace(opts, env);
     printFooter(total_runs);
     return 0;
 }

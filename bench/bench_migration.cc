@@ -34,6 +34,7 @@
 
 #include "apps/registry.hh"
 #include "cluster/cluster.hh"
+#include "common.hh"
 #include "sim/logging.hh"
 #include "stats/summary.hh"
 
@@ -82,7 +83,7 @@ parseOptions(int argc, char **argv)
         } else if (arg == "--quick") {
             o.events = 8;
         } else {
-            fatal("unknown flag '%s'", arg.c_str());
+            bench::usageErrorFlag(arg);
         }
     }
     if (o.events < 4)
@@ -90,24 +91,24 @@ parseOptions(int argc, char **argv)
     return o;
 }
 
-enum class Scenario
+enum class MigrationScenario
 {
     Skew,
     Fault,
 };
 
 const char *
-toString(Scenario s)
+toString(MigrationScenario s)
 {
-    return s == Scenario::Skew ? "skew" : "fault";
+    return s == MigrationScenario::Skew ? "skew" : "fault";
 }
 
 /** The per-scenario dispatch policy the skew/strand story needs. */
 DispatchPolicy
-scenarioDispatch(Scenario s)
+scenarioDispatch(MigrationScenario s)
 {
-    return s == Scenario::Skew ? DispatchPolicy::RoundRobin
-                               : DispatchPolicy::LeastLoaded;
+    return s == MigrationScenario::Skew ? DispatchPolicy::RoundRobin
+                                        : DispatchPolicy::LeastLoaded;
 }
 
 /** "off" plus the two rebalance policies. */
@@ -125,14 +126,14 @@ rebalanceName(int mode)
 }
 
 std::vector<WorkloadEvent>
-makeEvents(Scenario scenario, int count)
+makeEvents(MigrationScenario scenario, int count)
 {
     std::vector<WorkloadEvent> events;
     events.reserve(static_cast<std::size_t>(count));
     for (int i = 0; i < count; ++i) {
         WorkloadEvent e;
         e.index = i;
-        if (scenario == Scenario::Skew) {
+        if (scenario == MigrationScenario::Skew) {
             // Heavy apps at even indices: with two boards, round-robin
             // dispatch sends all of them to board 0.
             // alexnet's wide stages use many slots at once, so a stolen
@@ -165,7 +166,7 @@ makeEvents(Scenario scenario, int count)
 struct MigrationPoint
 {
     std::string scheduler;
-    Scenario scenario = Scenario::Skew;
+    MigrationScenario scenario = MigrationScenario::Skew;
     std::string dispatch;
     std::string rebalance;
     double p50Sec = 0;
@@ -180,7 +181,7 @@ struct MigrationPoint
 
 MigrationPoint
 runCell(const AppRegistry &registry, const std::string &scheduler,
-        Scenario scenario, int rebalance_mode, const Options &opts)
+        MigrationScenario scenario, int rebalance_mode, const Options &opts)
 {
     std::vector<WorkloadEvent> events = makeEvents(scenario, opts.events);
 
@@ -190,7 +191,7 @@ runCell(const AppRegistry &registry, const std::string &scheduler,
     cfg.dispatch = opts.dispatch.empty()
                        ? scenarioDispatch(scenario)
                        : parseDispatchPolicy(opts.dispatch.c_str());
-    if (scenario == Scenario::Fault) {
+    if (scenario == MigrationScenario::Fault) {
         // Injector armed with all rates zero: the only faults are the
         // forced persistent ones below, so the run stays deterministic.
         cfg.board.faults.enabled = true;
@@ -216,7 +217,7 @@ runCell(const AppRegistry &registry, const std::string &scheduler,
                         cluster.submit(registry, e);
                     });
     }
-    if (scenario == Scenario::Fault) {
+    if (scenario == MigrationScenario::Fault) {
         eq.schedule(simtime::ms(500), "board_fault", [&cluster, &cfg] {
             for (std::size_t s = 0; s < cfg.board.fabric.numSlots; ++s)
                 cluster.injector(0)->forcePersistentFault(
@@ -323,7 +324,8 @@ main(int argc, char **argv)
 
     std::vector<MigrationPoint> points;
     for (const char *scheduler : {"nimblock", "prema"}) {
-        for (Scenario scenario : {Scenario::Skew, Scenario::Fault}) {
+        for (MigrationScenario scenario :
+             {MigrationScenario::Skew, MigrationScenario::Fault}) {
             for (int mode = 0; mode < 3; ++mode) {
                 MigrationPoint p =
                     runCell(registry, scheduler, scenario, mode, opts);

@@ -97,7 +97,7 @@ parseOptions(int argc, char **argv)
                         "--quick\n");
             std::exit(0);
         } else {
-            fatal("unknown flag '%s'", arg.c_str());
+            bench::usageErrorFlag(arg);
         }
     }
     if (o.events < 1)

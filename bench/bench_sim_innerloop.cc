@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "apps/registry.hh"
+#include "common.hh"
 #include "core/config.hh"
 #include "core/grid_context.hh"
 #include "core/memhook.hh"
@@ -94,7 +95,7 @@ parseOptions(int argc, char **argv)
         } else if (arg == "--no-elide")
             o.elide = false;
         else
-            fatal("unknown flag '%s'", arg.c_str());
+            bench::usageErrorFlag(arg);
     }
     if (o.events < 2 || o.reps < 1)
         fatal("need at least 2 events and 1 rep");

@@ -32,6 +32,7 @@
  */
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -46,6 +47,7 @@
 #include <unistd.h>
 
 #include "apps/app_spec.hh"
+#include "common.hh"
 #include "core/memhook.hh"
 #include "faas/soak.hh"
 #include "fabric/resources.hh"
@@ -105,7 +107,7 @@ parseOptions(int argc, char **argv)
         else if (arg == "--horizon-sec")
             o.horizonSec = std::atof(next());
         else
-            fatal("unknown flag '%s'", arg.c_str());
+            bench::usageErrorFlag(arg);
     }
     if (o.boards < 1)
         fatal("need at least one board");
@@ -358,6 +360,11 @@ readHistory(const std::string &path)
 void
 printCellJson(FILE *f, const CellResult &r, bool last)
 {
+    // No completed SLA window is no data, written as null rather than a
+    // number that reads as an attainment.
+    double worst = r.stats.worstWindowAttainment;
+    std::string worst_json =
+        std::isnan(worst) ? "null" : formatMessage("%.4f", worst);
     std::fprintf(
         f,
         "    {\"label\": \"%s\", \"arrival\": \"%s\", "
@@ -366,7 +373,8 @@ printCellJson(FILE *f, const CellResult &r, bool last)
         "\"submitted\": %llu, \"admitted\": %llu, \"shed\": %llu, "
         "\"retired\": %llu, \"events_fired\": %llu, \"peak_live\": %llu, "
         "\"p50_ms\": %.3f, \"p99_ms\": %.3f, \"p999_ms\": %.3f, "
-        "\"max_ms\": %.3f, \"sla\": %.4f, \"worst_window_sla\": %.4f, "
+        "\"max_ms\": %.3f, \"sla\": %.4f, \"worst_window_sla\": %s, "
+        "\"sla_windows_completed\": %llu, "
         "\"wall_sec\": %.3f, \"submitted_per_sec_wall\": %.0f, "
         "\"retired_per_sec_wall\": %.0f, \"peak_rss_mb\": %.1f, "
         "\"window_events\": %llu, \"window_allocs\": %llu, "
@@ -383,7 +391,9 @@ printCellJson(FILE *f, const CellResult &r, bool last)
         simtime::toMs(r.stats.latencyNs.quantile(0.99)),
         simtime::toMs(r.stats.latencyNs.quantile(0.999)),
         simtime::toMs(r.stats.latencyNs.max()), r.stats.slaAttainment,
-        r.stats.worstWindowAttainment, r.wallSec, r.submittedPerSecWall(),
+        worst_json.c_str(),
+        static_cast<unsigned long long>(r.stats.slaWindowsCompleted),
+        r.wallSec, r.submittedPerSecWall(),
         r.retiredPerSecWall(),
         static_cast<double>(r.peakRssBytes) / (1 << 20),
         static_cast<unsigned long long>(r.windowEvents),
@@ -529,7 +539,7 @@ main(int argc, char **argv)
     std::vector<CellResult> grid;
     for (ArrivalKind kind : {ArrivalKind::Poisson, ArrivalKind::Diurnal,
                              ArrivalKind::ParetoBurst}) {
-        for (const char *sched : {"nimblock", "fcfs", "learned"}) {
+        for (const char *sched : {"nimblock", "fcfs"}) {
             SoakConfig cfg = gridConfig(opts);
             cfg.arrivals.kind = kind;
             cfg.cluster.board.scheduler = sched;

@@ -32,6 +32,13 @@ usageErrorNames(const char *what, const std::string &got,
     std::exit(2);
 }
 
+void
+usageErrorFlag(const std::string &flag)
+{
+    std::fprintf(stderr, "unknown flag '%s'\n", flag.c_str());
+    std::exit(2);
+}
+
 BenchOptions
 BenchOptions::parse(int argc, char **argv)
 {
@@ -71,17 +78,15 @@ BenchOptions::parse(int argc, char **argv)
             opts.sched = next();
             if (!tryMakeScheduler(opts.sched))
                 usageErrorNames("scheduler", opts.sched, schedulerNames());
-        } else if (arg == "--policy-trace") {
-            opts.policyTracePath = next();
         } else if (arg == "--hdr") {
             opts.hdrTail = true;
         } else if (arg == "--help" || arg == "-h") {
             std::printf("flags: --sequences N --events N --seed S --jobs N "
                         "--quick --csv PATH --trace PATH --dispatch P "
-                        "--sched S --policy-trace PATH --hdr\n");
+                        "--sched S --hdr\n");
             std::exit(0);
         } else {
-            fatal("unknown flag '%s'", arg.c_str());
+            usageErrorFlag(arg);
         }
     }
     if (opts.sequences < 1 || opts.events < 1)
@@ -191,20 +196,6 @@ maybeWriteTraces(const BenchOptions &opts, const BenchEnv &env,
     }
 }
 
-void
-maybeWritePolicyTrace(const BenchOptions &opts, const BenchEnv &env)
-{
-    if (opts.policyTracePath.empty())
-        return;
-    SystemConfig cfg = env.config;
-    cfg.scheduler = "learned";
-    cfg.policyTracePath = opts.policyTracePath;
-    EventSequence seq = env.sequences(Scenario::Stress).front();
-    Simulation(cfg, env.registry).run(seq);
-    std::printf("policy trace written to %s\n",
-                opts.policyTracePath.c_str());
-}
-
 std::vector<std::string>
 schedulerSet(const BenchOptions &opts, std::vector<std::string> defaults)
 {
@@ -226,8 +217,6 @@ displayName(const std::string &scheduler)
         return "RR";
     if (scheduler == "nimblock")
         return "Nimblock";
-    if (scheduler == "learned")
-        return "Learned";
     if (scheduler == "nimblock_nopreempt")
         return "NimblockNoPreempt";
     if (scheduler == "nimblock_nopipe")

@@ -19,9 +19,8 @@
  *   --sched S       restrict the bench to one scheduler column (any
  *                   sched/factory.hh name); unknown names print the
  *                   valid list and exit with a usage error
- *   --policy-trace PATH  capture one stress sequence under the learned
- *                   scheduler with the (observation, action, reward)
- *                   trace bridge enabled, written to PATH
+ *
+ * An unknown flag prints it and exits with status 2 (usageErrorFlag).
  */
 
 #ifndef NIMBLOCK_BENCH_COMMON_HH
@@ -62,9 +61,6 @@ struct BenchOptions
      */
     std::string sched;
 
-    /** Policy trace capture path (see maybeWritePolicyTrace). */
-    std::string policyTracePath;
-
     /**
      * Tail percentiles from the bounded HdrHistogram instead of exact
      * per-sample order statistics (bench_fig6): the soak-path estimator
@@ -73,7 +69,7 @@ struct BenchOptions
      */
     bool hdrTail = false;
 
-    /** Parse argv; fatal()s on unknown flags. */
+    /** Parse argv; unknown flags are usage errors (exit 2). */
     static BenchOptions parse(int argc, char **argv);
 
     /** jobs with 0 resolved to the actual hardware default. */
@@ -130,16 +126,6 @@ void maybeWriteTraces(const BenchOptions &opts, const BenchEnv &env,
                       const std::vector<std::string> &algos);
 
 /**
- * When --policy-trace PATH was given, run one stress sequence under the
- * "learned" scheduler with the decision trace bridge enabled, capturing
- * a binary (observation, action, reward) file at PATH (see
- * policy/trace.hh; scripts/read_policy_trace.py reads it back). A
- * single dedicated run — never the (parallel) grid — so the capture is
- * deterministic and the file is written exactly once.
- */
-void maybeWritePolicyTrace(const BenchOptions &opts, const BenchEnv &env);
-
-/**
  * The bench's scheduler columns: @p defaults, or the single --sched
  * selection when given.
  */
@@ -154,6 +140,12 @@ std::vector<std::string> schedulerSet(const BenchOptions &opts,
  */
 [[noreturn]] void usageErrorNames(const char *what, const std::string &got,
                                   const std::vector<std::string> &valid);
+
+/**
+ * Print "unknown flag '<flag>'" to stderr and exit(2): the usage-error
+ * path every bench's argument parser takes for a flag it does not know.
+ */
+[[noreturn]] void usageErrorFlag(const std::string &flag);
 
 /** Short display names used in the paper's figures. */
 std::string displayName(const std::string &scheduler);

@@ -64,15 +64,6 @@ struct SystemConfig
     bool recordTimeline = false;
 
     /**
-     * When non-empty and the scheduler is "learned", log every settled
-     * (observation, action, reward) decision to this binary trace file
-     * for offline training (see policy/trace.hh and docs/policy.md).
-     * Empty (the default) keeps the bridge disabled: no file, no
-     * allocation, byte-identical results.
-     */
-    std::string policyTracePath;
-
-    /**
      * The single-slot latency of @p app at @p batch under this
      * configuration's fabric timing (deadline unit, §5.4).
      */

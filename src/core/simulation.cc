@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "policy/learned.hh"
 #include "sched/factory.hh"
 #include "sim/logging.hh"
 
@@ -31,14 +30,7 @@ Simulation::run(const EventSequence &seq)
 
     EventQueue eq(_cfg.eventQueue);
     Fabric fabric(eq, _cfg.fabric);
-    std::unique_ptr<Scheduler> scheduler;
-    if (_cfg.scheduler == "learned" && !_cfg.policyTracePath.empty()) {
-        LearnedConfig lcfg;
-        lcfg.tracePath = _cfg.policyTracePath;
-        scheduler = std::make_unique<LearnedScheduler>(lcfg);
-    } else {
-        scheduler = makeScheduler(_cfg.scheduler);
-    }
+    std::unique_ptr<Scheduler> scheduler = makeScheduler(_cfg.scheduler);
     MetricsCollector collector;
     Hypervisor hyp(eq, fabric, *scheduler, collector, _cfg.hypervisor);
     if (_gridCtx)

@@ -1,6 +1,7 @@
 #include "faas/service.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "sim/logging.hh"
 #include "stats/summary.hh"
@@ -88,7 +89,8 @@ RollingSlaWindows::attainment() const
 double
 RollingSlaWindows::worstWindowAttainment() const
 {
-    return _anyCompletedNonEmpty ? _worst : 1.0;
+    return _anyCompletedNonEmpty ? _worst
+                                 : std::numeric_limits<double>::quiet_NaN();
 }
 
 void

@@ -127,7 +127,8 @@ class RollingSlaWindows
 
     /**
      * Attainment of the worst *completed* non-empty window anywhere in
-     * the run (not only those still retained); 1 when none completed.
+     * the run (not only those still retained); NaN when none completed
+     * (no data is not perfect attainment).
      */
     double worstWindowAttainment() const;
 

@@ -215,6 +215,7 @@ SoakEngine::finish()
     out.latencyNs = _latency;
     out.slaAttainment = _sla.attainment();
     out.worstWindowAttainment = _sla.worstWindowAttainment();
+    out.slaWindowsCompleted = _sla.windowsCompleted();
     return out;
 }
 

@@ -28,6 +28,7 @@
 #define NIMBLOCK_FAAS_SOAK_HH
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -94,9 +95,15 @@ struct SoakStats
     /** End-to-end invocation latency (ns), bounded footprint. */
     HdrHistogram latencyNs;
 
-    /** SLA attainment over the retained window ring / worst window. */
+    /**
+     * SLA attainment over the retained window ring / worst completed
+     * window (NaN when no window completed).
+     */
     double slaAttainment = 1.0;
-    double worstWindowAttainment = 1.0;
+    double worstWindowAttainment = std::numeric_limits<double>::quiet_NaN();
+
+    /** SLA windows rolled over during the run, empty ones included. */
+    std::uint64_t slaWindowsCompleted = 0;
 };
 
 /** One streaming open-loop run over a cluster. */

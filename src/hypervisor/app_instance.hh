@@ -435,6 +435,24 @@ class AppInstance
     SimTime _migrationTime = 0;
 };
 
+/**
+ * Single-slot estimate of @p app's unfinished work: @p single_slot_latency
+ * scaled by the share of its numTasks x batch items not yet done. The
+ * product is taken in 128 bits: in int64, a long estimate over a large
+ * batch (2^40 ns x 5e7 remaining items) overflows.
+ */
+inline SimTime
+remainingWork(const AppInstance &app, SimTime single_slot_latency)
+{
+    auto total_items =
+        static_cast<std::int64_t>(app.graph().numTasks()) * app.batch();
+    if (total_items <= 0)
+        return 0;
+    return static_cast<SimTime>(
+        static_cast<__int128>(single_slot_latency) *
+        (total_items - app.itemsDoneTotal()) / total_items);
+}
+
 } // namespace nimblock
 
 #endif // NIMBLOCK_HYPERVISOR_APP_INSTANCE_HH

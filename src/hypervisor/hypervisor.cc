@@ -1106,6 +1106,14 @@ Hypervisor::retire(AppInstance &app)
     countSample(_ctrRetired, static_cast<double>(_stats.appsRetired));
     _scheduler.onAppRetired(app);
 
+    std::unique_ptr<AppInstance> owned = removeLive(app);
+    if (_pool.size() < _cfg.appPoolSize)
+        _pool.push_back(std::move(owned));
+}
+
+std::unique_ptr<AppInstance>
+Hypervisor::removeLive(AppInstance &app)
+{
     std::uint32_t idx = _liveIndex[app.id()];
     _liveIndex[app.id()] = kNoLiveIndex;
     _live.erase(_live.begin() + idx);
@@ -1117,10 +1125,11 @@ Hypervisor::retire(AppInstance &app)
         _apps.begin(), _apps.end(),
         [&](const std::unique_ptr<AppInstance> &p) { return p.get() == &app; });
     if (owner == _apps.end())
-        panic("retiring unowned app instance");
-    if (_pool.size() < _cfg.appPoolSize)
-        _pool.push_back(std::move(*owner));
+        panic("removing unowned app instance %llu",
+              static_cast<unsigned long long>(app.id()));
+    std::unique_ptr<AppInstance> owned = std::move(*owner);
     _apps.erase(owner);
+    return owned;
 }
 
 void
@@ -1176,14 +1185,7 @@ Hypervisor::checkpointBytes(const AppInstance &app) const
 SimTime
 Hypervisor::remainingWorkEstimate(AppInstance &app)
 {
-    SimTime est = estimatedSingleSlotLatency(app);
-    auto total_items = static_cast<std::int64_t>(app.batch()) *
-                       static_cast<std::int64_t>(app.graph().numTasks());
-    if (total_items <= 0)
-        return 0;
-    // itemsDoneTotal is a running counter, replacing an O(tasks)
-    // itemsDone scan per estimate (called per live app per rebalance).
-    return est * (total_items - app.itemsDoneTotal()) / total_items;
+    return remainingWork(app, estimatedSingleSlotLatency(app));
 }
 
 SimTime
@@ -1213,22 +1215,10 @@ Hypervisor::extractCheckpoint(AppInstanceId id)
     ++_stats.appsMigratedOut;
     _scheduler.onAppRetired(*app);
 
-    // Same removal as retire(), minus the AppRecord: the app is in
-    // flight to its target board, not finished — the record is produced
-    // by the board that retires it.
-    std::uint32_t idx = _liveIndex[id];
-    _liveIndex[id] = kNoLiveIndex;
-    _live.erase(_live.begin() + idx);
-    ++_liveEpoch;
-    for (std::size_t i = idx; i < _live.size(); ++i)
-        _liveIndex[_live[i]->id()] = static_cast<std::uint32_t>(i);
-    countSample(_ctrLiveApps, static_cast<double>(_live.size()));
-    auto owner = std::find_if(
-        _apps.begin(), _apps.end(),
-        [&](const std::unique_ptr<AppInstance> &p) { return p.get() == app; });
-    if (owner == _apps.end())
-        panic("extracting unowned app instance");
-    _apps.erase(owner);
+    // Same removal as retire(), minus the AppRecord and pooling: the app
+    // is in flight to its target board, not finished — the record is
+    // produced by the board that retires it.
+    removeLive(*app);
     requestPass(SchedEvent::AppDone);
     return ck;
 }

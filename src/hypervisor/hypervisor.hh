@@ -482,6 +482,13 @@ class Hypervisor : public SchedulerOps
     void retire(AppInstance &app);
 
     /**
+     * Take @p app out of the live set (order-preserving: arrival order
+     * is semantic for FCFS tie-breaks) and hand back its ownership.
+     * Panics when the hypervisor does not own @p app.
+     */
+    std::unique_ptr<AppInstance> removeLive(AppInstance &app);
+
+    /**
      * Dead-state rescue: if nothing can ever make progress again (no item
      * executing, CAP idle, no free slot, every occupied slot waiting),
      * force-preempt the waiting task latest in topological order so its

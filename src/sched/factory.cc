@@ -1,6 +1,5 @@
 #include "sched/factory.hh"
 
-#include "policy/learned.hh"
 #include "sched/fcfs.hh"
 #include "sched/nimblock.hh"
 #include "sched/no_sharing.hh"
@@ -25,8 +24,6 @@ tryMakeScheduler(const std::string &name)
         return std::make_unique<RoundRobinScheduler>();
     if (name == "static" || name == "dml_static")
         return std::make_unique<StaticAllocScheduler>();
-    if (name == "learned")
-        return std::make_unique<LearnedScheduler>();
     if (name == "themis")
         return std::make_unique<ThemisScheduler>();
 
@@ -69,10 +66,9 @@ makeScheduler(const std::string &name)
 std::vector<std::string>
 schedulerNames()
 {
-    return {"baseline", "no_sharing", "fcfs",
-            "prema",    "rr",         "static",
-            "dml_static", "learned",  "themis",
-            "nimblock",
+    return {"baseline",   "no_sharing", "fcfs",
+            "prema",      "rr",         "static",
+            "dml_static", "themis",     "nimblock",
             "nimblock_nopreempt", "nimblock_nopipe",
             "nimblock_nopreempt_nopipe"};
 }
@@ -86,8 +82,8 @@ evaluationSchedulers()
 std::vector<std::string>
 extendedSchedulers()
 {
-    return {"baseline", "fcfs",    "prema", "rr",
-            "nimblock", "learned", "themis"};
+    return {"baseline", "fcfs",   "prema", "rr",
+            "nimblock", "themis"};
 }
 
 std::vector<std::string>

@@ -7,9 +7,8 @@
  * ablations "nimblock_nopreempt", "nimblock_nopipe" and
  * "nimblock_nopreempt_nopipe" (Figure 9), the related-work comparator
  * "static" (DML-style static slot designation, §6.2, alias
- * "dml_static"), "learned" (the linear-bandit policy over the
- * gym-style observation/action interface, policy/learned.hh), and
- * "themis" (max-min fair, heterogeneity/energy-aware, sched/themis.hh).
+ * "dml_static"), and "themis" (max-min fair, heterogeneity/energy-aware,
+ * sched/themis.hh).
  */
 
 #ifndef NIMBLOCK_SCHED_FACTORY_HH
@@ -47,9 +46,9 @@ std::vector<std::string> schedulerNames();
 std::vector<std::string> evaluationSchedulers();
 
 /**
- * The evaluation set plus the "learned" policy and the "themis" fair
- * scheduler: the column set for benches that report the post-paper
- * schedulers next to the paper's five.
+ * The evaluation set plus the "themis" fair scheduler: the column set
+ * for benches that report the post-paper scheduler next to the paper's
+ * five.
  */
 std::vector<std::string> extendedSchedulers();
 

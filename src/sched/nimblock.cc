@@ -150,13 +150,9 @@ NimblockScheduler::reallocate(const std::vector<AppInstance *> &ordered)
     for (std::size_t i = 0; i < ordered.size() && remaining > 0; ++i) {
         if (alloc[i] == 0)
             break;
-        AppInstance &app = *ordered[i];
-        // tasksIncomplete comes off the shared feature row so phase 3
-        // consumes the same per-candidate features the policy layer
-        // exposes (and the value is covered by its determinism tests).
-        ObservationBuilder::fillAppObs(_featureRow, ops(), app);
-        std::size_t incomplete =
-            static_cast<std::size_t>(_featureRow.tasksIncomplete);
+        const AppInstance &app = *ordered[i];
+        std::size_t incomplete = static_cast<std::size_t>(
+            app.graph().numTasks() - app.tasksCompleted());
         while (alloc[i] < incomplete && remaining > 0) {
             ++alloc[i];
             --remaining;
@@ -186,52 +182,9 @@ NimblockScheduler::configureInFlight()
 SlotId
 NimblockScheduler::selectPreemptionVictim()
 {
-    // Algorithm 2 lines 1-9 over the shared observation snapshot: the
-    // slot rows carry the boundary/pending flags and the app rows the
-    // over-consumption metric, so victim selection conditions on exactly
-    // the state a learned policy (or a captured trace) sees. Oversized
-    // boards or live sets fall back to the direct walk — the snapshot
-    // prefix would silently hide candidates.
-    const SchedObservation &obs = _builder.build(ops(), ops().liveApps());
-    if (obs.slotsTruncated || obs.appsTruncated)
-        return selectPreemptionVictimDirect();
-
-    std::int64_t over_consumption = 0;
-    const AppObs *over_consumer = nullptr;
-    for (std::uint32_t i = 0; i < obs.numSlots; ++i) {
-        const SlotObs &s = obs.slots[i];
-        if (!s.waitingForNextItem || s.preemptRequested)
-            continue;
-        for (std::uint32_t j = 0; j < obs.numApps; ++j) {
-            const AppObs &row = obs.apps[j];
-            if (row.id != s.app)
-                continue;
-            if (row.overConsumption > over_consumption) {
-                over_consumption = row.overConsumption;
-                over_consumer = &row;
-            }
-            break;
-        }
-    }
-    if (!over_consumer)
-        return kSlotNone; // No over-consumer: nothing is preempted.
-    AppInstance *app = ops().findApp(over_consumer->id);
-    if (!app)
-        return kSlotNone;
-
-    // Lines 10-11: the task latest in topological order among the
-    // over-consumer's running tasks, so no pipelined dependency of another
-    // running task is removed.
-    app->residentTasksInto(_taskScratch); // Topological order.
-    if (_taskScratch.empty())
-        return kSlotNone;
-    TaskId preempt_task = _taskScratch.back();
-    return app->taskState(preempt_task).slot;
-}
-
-SlotId
-NimblockScheduler::selectPreemptionVictimDirect()
-{
+    // Algorithm 2 lines 1-9: among slots waiting at an item boundary with
+    // no preemption already pending, the occupant that over-consumes its
+    // allocation the most (first such slot wins ties).
     std::int64_t over_consumption = 0;
     AppInstance *over_consumer = nullptr;
     for (const Slot &s : ops().fabric().slots()) {
@@ -247,8 +200,12 @@ NimblockScheduler::selectPreemptionVictimDirect()
         }
     }
     if (!over_consumer)
-        return kSlotNone;
-    over_consumer->residentTasksInto(_taskScratch);
+        return kSlotNone; // No over-consumer: nothing is preempted.
+
+    // Lines 10-11: the task latest in topological order among the
+    // over-consumer's running tasks, so no pipelined dependency of another
+    // running task is removed.
+    over_consumer->residentTasksInto(_taskScratch); // Topological order.
     if (_taskScratch.empty())
         return kSlotNone;
     TaskId preempt_task = _taskScratch.back();

@@ -12,17 +12,6 @@ PremaScheduler::PremaScheduler(TokenPolicyConfig token_cfg)
     _byRemaining.reserve(64);
 }
 
-SimTime
-PremaScheduler::estimatedRemaining(AppInstance &app)
-{
-    // The candidate features come from the shared observation layer; the
-    // 128-bit estimate there also fixes the int64 overflow this
-    // computation had for large-batch / long-latency candidates, where
-    // the truncated product collapsed the shortest-remaining order.
-    ObservationBuilder::fillAppObs(_featureRow, ops(), app);
-    return nimblock::estimatedRemaining(_featureRow);
-}
-
 void
 PremaScheduler::pass(SchedEvent reason)
 {
@@ -68,8 +57,11 @@ PremaScheduler::pass(SchedEvent reason)
     // stable sort this replaces.
     _byRemaining.clear();
     _byRemaining.reserve(_candidates.size());
-    for (std::size_t i = 0; i < _candidates.size(); ++i)
-        _byRemaining.emplace_back(estimatedRemaining(*_candidates[i]), i);
+    for (std::size_t i = 0; i < _candidates.size(); ++i) {
+        AppInstance &app = *_candidates[i];
+        _byRemaining.emplace_back(
+            remainingWork(app, ops().estimatedSingleSlotLatency(app)), i);
+    }
     std::sort(_byRemaining.begin(), _byRemaining.end());
 
     for (auto &[remaining, idx] : _byRemaining) {

@@ -13,7 +13,8 @@
 #ifndef NIMBLOCK_SCHED_PREMA_HH
 #define NIMBLOCK_SCHED_PREMA_HH
 
-#include "policy/observation.hh"
+#include <memory>
+
 #include "sched/prema_tokens.hh"
 #include "sched/scheduler.hh"
 
@@ -28,9 +29,6 @@ class PremaScheduler : public Scheduler
     void pass(SchedEvent reason) override;
 
   private:
-    /** Scheduler-visible estimate of @p app's remaining work. */
-    SimTime estimatedRemaining(AppInstance &app);
-
     TokenPolicyConfig _tokenCfg;
     std::unique_ptr<TokenPolicy> _tokens; //!< Created on first pass.
 
@@ -47,13 +45,6 @@ class PremaScheduler : public Scheduler
     /** Pass-local scratch (candidates and their sort keys). */
     std::vector<AppInstance *> _candidates;
     std::vector<std::pair<SimTime, std::size_t>> _byRemaining;
-
-    /**
-     * Feature-row scratch for estimatedRemaining(): candidate features
-     * come from the shared ObservationBuilder so PREMA sees exactly what
-     * a learned policy (or a captured trace) sees.
-     */
-    AppObs _featureRow;
 };
 
 } // namespace nimblock

@@ -121,26 +121,27 @@ class SchedulerOps
     /**
      * Monotonic counter of scheduler-visible state mutations: bumped
      * whenever anything a pass may observe changed (arrivals,
-     * completions, issued actions). Two observations built at the same
-     * version describe the same state. 0 means the implementation does
-     * not track versions (treat every snapshot as stale).
+     * completions, issued actions). Two reads at the same version see
+     * the same state. 0 means the implementation does not track
+     * versions (treat every cached read as stale). No built-in
+     * scheduler reads it; it is part of the surface that wrappers of
+     * SchedulerOps (instrumentation, external policies) forward.
      */
     virtual std::uint64_t stateVersion() const { return 0; }
 
     /**
      * Joules accumulated by the run's energy model so far; 0.0 whenever
-     * accounting is off. Energy-aware policies (themis) and the learned
-     * policy's feature vector read it; everything else ignores it.
+     * accounting is off. Available to energy-aware policies; no
+     * built-in scheduler reads it.
      */
     virtual double energyJoulesTotal() const { return 0.0; }
 
     /**
-     * Pipeline occupancy of @p slot for the observation layer: bit 0
-     * set when the occupant task carries a streaming kernel model
-     * (kernel_model/), bit 1 when the in-flight item issued at the
-     * steady pipeline interval (primed intra-slot overlap). 0 for free
-     * slots and scalar tasks, so kernel-model-free runs see all-zero
-     * flags and snapshots stay byte-identical.
+     * Pipeline occupancy of @p slot: bit 0 set when the occupant task
+     * carries a streaming kernel model (kernel_model/), bit 1 when the
+     * in-flight item issued at the steady pipeline interval (primed
+     * intra-slot overlap). 0 for free slots and scalar tasks, so
+     * kernel-model-free runs see all-zero flags.
      */
     virtual std::uint8_t
     slotPipelineFlags(SlotId slot)

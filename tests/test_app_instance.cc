@@ -8,6 +8,7 @@
 #include "apps/benchmarks.hh"
 #include "hypervisor/app_instance.hh"
 #include "sim/logging.hh"
+#include "taskgraph/builder.hh"
 
 namespace nimblock {
 namespace {
@@ -163,6 +164,74 @@ TEST(AppInstance, ResidentTasksInTopoOrder)
     ASSERT_EQ(resident.size(), 2u);
     EXPECT_EQ(resident[0], 0u);
     EXPECT_EQ(resident[1], 2u);
+}
+
+// ---------------------------------------------------------------------
+// remainingWork: the single-slot remaining-work estimate, in 128 bits.
+// The suite keeps the name it had while the estimate lived in the
+// scheduler observation layer, so these test IDs stay stable.
+
+/** One-task app: numTasks x batch == batch. */
+AppInstance
+singleKernel(int batch)
+{
+    GraphBuilder b;
+    TaskSpec t;
+    t.name = "k";
+    t.itemLatency = simtime::us(10);
+    b.addTask(std::move(t));
+    return AppInstance(1, std::make_shared<AppSpec>("k", "k", b.build()),
+                       batch, Priority::Low, 0, 0);
+}
+
+/** Mark @p done items complete on the single task. */
+void
+completeItems(AppInstance &app, int done)
+{
+    AppCheckpoint ck;
+    ck.itemsDone = {done};
+    app.restoreFromCheckpoint(ck);
+}
+
+TEST(PolicyObservation, EstimatedRemainingMatchesExactSmallCases)
+{
+    const SimTime est = simtime::ms(250);
+    AppInstance app = singleKernel(400);
+    completeItems(app, 400 - 123);
+    EXPECT_EQ(remainingWork(app, est), est * 123 / 400);
+
+    AppInstance done = singleKernel(400);
+    completeItems(done, 400);
+    EXPECT_EQ(remainingWork(done, est), 0);
+    EXPECT_EQ(remainingWork(singleKernel(400), est), est);
+
+    // numTasks x batch counts every task's items.
+    AppInstance lenet = makeLenet(100);
+    std::int64_t total =
+        static_cast<std::int64_t>(lenet.graph().numTasks()) * 100;
+    EXPECT_EQ(remainingWork(lenet, est), est);
+    lenet.noteItemProgress();
+    EXPECT_EQ(remainingWork(lenet, est), est * (total - 1) / total);
+}
+
+TEST(PolicyObservation, EstimatedRemainingSurvivesInt64Overflow)
+{
+    // Large batch of tiny items: total estimate ~18 simulated minutes
+    // (1.1e12 ns) over 1e8 items with half remaining. An int64
+    // intermediate product (estimate x remaining items = 5.5e19)
+    // overflows and collapses PREMA's shortest-remaining order; the
+    // 128-bit path returns the exact proportional estimate.
+    const SimTime est = SimTime{1} << 40;
+    AppInstance app = singleKernel(100'000'000);
+    completeItems(app, 50'000'000);
+    EXPECT_EQ(remainingWork(app, est), est / 2);
+
+    // Worst realistic magnitudes stay exact too.
+    AppInstance one_left = singleKernel(100'000'000);
+    completeItems(one_left, 100'000'000 - 1);
+    SimTime r = remainingWork(one_left, simtime::sec(3600));
+    EXPECT_GT(r, 0);
+    EXPECT_LE(r, simtime::sec(3600));
 }
 
 } // namespace

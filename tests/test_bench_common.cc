@@ -51,7 +51,8 @@ TEST(BenchOptions, QuickPreset)
 
 TEST(BenchOptions, RejectsBadInput)
 {
-    EXPECT_THROW(parse({"--bogus"}), FatalError);
+    EXPECT_EXIT(parse({"--bogus"}), ::testing::ExitedWithCode(2),
+                "unknown flag '--bogus'");
     EXPECT_THROW(parse({"--sequences"}), FatalError);
     EXPECT_THROW(parse({"--sequences", "0"}), FatalError);
 }

@@ -72,6 +72,30 @@ TEST_F(HypervisorTest, SubmitCreatesLiveApp)
     EXPECT_EQ(sched.lastReason, SchedEvent::Arrival);
 }
 
+TEST_F(HypervisorTest, RemainingWorkEstimateSurvivesInt64Overflow)
+{
+    // A 2^40 ns single-slot estimate over 1e8 items, half done: the
+    // estimate x remaining-items product (5.5e19) overflows int64. The
+    // hypervisor's estimate feeds cluster dispatch, the rebalancer and
+    // AppCheckpoint, so it must take the 128-bit path too.
+    GraphBuilder b;
+    TaskSpec t;
+    t.name = "k";
+    t.itemLatency = simtime::us(10);
+    b.addTask(std::move(t));
+    AppCheckpoint ck;
+    ck.spec = std::make_shared<AppSpec>("big", "big", b.build());
+    ck.batch = 100'000'000;
+    ck.arrival = 0;
+    ck.itemsDone = {50'000'000};
+    AppInstance *app = hyp.findApp(hyp.admitCheckpoint(ck));
+    ASSERT_NE(app, nullptr);
+    const SimTime est = SimTime{1} << 40;
+    app->setLatencyEstimate(est);
+    EXPECT_EQ(hyp.remainingWorkEstimate(*app), est / 2);
+    EXPECT_EQ(hyp.pendingWorkEstimate(), est / 2);
+}
+
 TEST_F(HypervisorTest, ConfigureRunsThroughSdAndCap)
 {
     AppInstanceId id = hyp.submit(benchmarks::lenet(), 1, Priority::Low, 0);

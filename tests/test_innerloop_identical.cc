@@ -221,7 +221,7 @@ TEST_F(InnerloopIdenticalTest, HeterogeneousFabricIsKernelInvariant)
 {
     // Slot classes, kernel speedups and energy accounting must not
     // disturb the queue-kernel equivalence: a heterogeneous themis (or
-    // nimblock/learned) run swaps Wheel for Heap with NOTHING observable
+    // nimblock) run swaps Wheel for Heap with NOTHING observable
     // changing, energy attribution included.
     auto hetero = [](SystemConfig &cfg) {
         SlotClassConfig big;
@@ -245,7 +245,7 @@ TEST_F(InnerloopIdenticalTest, HeterogeneousFabricIsKernelInvariant)
     };
 
     EventSequence seq = denseSequence();
-    for (const std::string name : {"nimblock", "themis", "learned"}) {
+    for (const std::string name : {"nimblock", "themis"}) {
         RunResult wheel = runWith(name, seq, [&](SystemConfig &cfg) {
             hetero(cfg);
             cfg.eventQueue = EventQueueImpl::Wheel;

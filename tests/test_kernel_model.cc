@@ -428,7 +428,7 @@ TEST_F(KernelModelTest, WheelAndHeapAgreeOnPipelinedRuns)
                                              : Priority::Medium,
             simtime::ms(150 * i)});
     }
-    for (const std::string sched : {"nimblock", "themis", "learned"}) {
+    for (const std::string sched : {"nimblock", "themis"}) {
         SystemConfig wheel_cfg;
         wheel_cfg.scheduler = sched;
         wheel_cfg.eventQueue = EventQueueImpl::Wheel;

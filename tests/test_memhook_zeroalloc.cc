@@ -125,9 +125,7 @@ TEST(MemhookZeroAlloc, SteadyStateAllocatesNothingWithTracingDisabled)
     for (std::size_t i = 0; i < seq.events.size(); ++i)
         seq.events[i].arrival = simtime::ms(static_cast<double>(i));
 
-    // The extended set covers "learned" too: with the trace bridge at its
-    // disabled default, the policy's decision loop (observation rebuilds,
-    // candidate scoring, online weight updates) must not allocate either.
+    // The extended set covers "themis" too.
     for (const std::string &name : extendedSchedulers()) {
         WindowResult r = measureWindow(name, cfg, registry, seq);
         EXPECT_GT(r.events, 0u) << name << ": empty window";

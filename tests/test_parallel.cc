@@ -289,8 +289,7 @@ TEST_F(ParallelGridTest, HeterogeneousFabricGridMatchesAcrossJobCounts)
     cfg.fabric.kernelRules.push_back({"alexnet", "big", true, 1.3});
     cfg.energy.enabled = true;
     AppRegistry registry = standardRegistry();
-    std::vector<std::string> schedulers = {"nimblock", "prema", "themis",
-                                           "learned"};
+    std::vector<std::string> schedulers = {"nimblock", "prema", "themis"};
     std::vector<EventSequence> seqs = sequences();
 
     ExperimentGrid sequential(cfg, registry);

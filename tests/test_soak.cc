@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
 #include "apps/app_spec.hh"
 #include "faas/soak.hh"
 #include "fabric/resources.hh"
@@ -76,7 +80,9 @@ class SoakTest : public ::testing::Test
         EXPECT_EQ(a.peakLive, b.peakLive);
         EXPECT_TRUE(a.latencyNs == b.latencyNs);
         EXPECT_DOUBLE_EQ(a.slaAttainment, b.slaAttainment);
-        EXPECT_DOUBLE_EQ(a.worstWindowAttainment, b.worstWindowAttainment);
+        // Bit-equal, so two "no window completed" NaNs compare equal.
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.worstWindowAttainment),
+                  std::bit_cast<std::uint64_t>(b.worstWindowAttainment));
     }
 };
 
@@ -96,7 +102,18 @@ TEST_F(SoakTest, AccountingClosesAndEveryAdmissionRetires)
     EXPECT_GT(s.eventsFired, s.retired);
     EXPECT_GE(s.slaAttainment, 0.0);
     EXPECT_LE(s.slaAttainment, 1.0);
-    EXPECT_LE(s.worstWindowAttainment, 1.0);
+    // The 10 s horizon is shorter than one SLA window: no window
+    // completed, and no data must not read as perfect attainment.
+    SoakConfig cfg = baseConfig();
+    ASSERT_LT(cfg.horizon, cfg.slaWindow);
+    EXPECT_EQ(s.slaWindowsCompleted, 0u);
+    EXPECT_TRUE(std::isnan(s.worstWindowAttainment));
+    // Windows shorter than the horizon complete and report a ratio.
+    cfg.slaWindow = simtime::sec(2);
+    SoakStats windowed = SoakEngine(cfg, twoTenants(), Rng(2023)).run();
+    EXPECT_GE(windowed.slaWindowsCompleted, 4u);
+    EXPECT_GE(windowed.worstWindowAttainment, 0.0);
+    EXPECT_LE(windowed.worstWindowAttainment, 1.0);
     // Quantiles are monotone in q.
     EXPECT_LE(s.latencyNs.quantile(0.50), s.latencyNs.quantile(0.99));
     EXPECT_LE(s.latencyNs.quantile(0.99), s.latencyNs.quantile(0.999));
