@@ -19,13 +19,11 @@
  * Results are also written as BENCH_chaos.json (override with --json
  * PATH) for the CI bench-smoke artifact.
  *
- *   bench_chaos [--events N] [--seed S] [--faas-sec T] [--json PATH]
- *               [--quick]
+ * `bench_chaos --help` lists the flags.
  */
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -50,37 +48,6 @@ struct Options
     std::string jsonPath = "BENCH_chaos.json";
 };
 
-Options
-parseOptions(int argc, char **argv)
-{
-    Options o;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                fatal("flag %s needs a value", arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--events")
-            o.events = std::atoi(next());
-        else if (arg == "--seed")
-            o.seed = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--faas-sec")
-            o.faasSec = std::atof(next());
-        else if (arg == "--json")
-            o.jsonPath = next();
-        else if (arg == "--quick") {
-            o.events = 6;
-            o.faasSec = 4.0;
-        } else {
-            bench::usageErrorFlag(arg);
-        }
-    }
-    if (o.events < 2 || o.faasSec <= 0)
-        fatal("need at least 2 events and a positive FaaS duration");
-    return o;
-}
-
 /** The failure model at one sweep point. */
 FaultConfig
 faultsAtRate(double rate, std::uint64_t seed)
@@ -97,28 +64,6 @@ faultsAtRate(double rate, std::uint64_t seed)
     fc.persistentFaultFrac = 0.25;
     return fc;
 }
-
-/** One (scheduler, rate) measurement. */
-struct ChaosPoint
-{
-    std::string scheduler;
-    double rate = 0;
-    double baselineMeanSec = 0;
-    double meanResponseSec = 0;
-    double goodput = 1.0;
-    double slaViolationRate = 0;
-    std::uint64_t faultsInjected = 0;
-    std::uint64_t faultRetries = 0;
-    std::uint64_t quarantineEvents = 0;
-    std::uint64_t appsFailed = 0;
-
-    double
-    degradation() const
-    {
-        return baselineMeanSec > 0 ? meanResponseSec / baselineMeanSec
-                                   : 1.0;
-    }
-};
 
 /** Mean response over successful applications only. */
 double
@@ -166,49 +111,21 @@ faasViolationRate(const std::string &scheduler, const FaultConfig &faults,
                                   static_cast<double>(total);
 }
 
-void
-writeJson(const std::string &path, const std::vector<ChaosPoint> &points,
-          const std::vector<double> &rates, const Options &opts)
-{
-    FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        fatal("cannot write %s", path.c_str());
-    std::fprintf(f, "{\n  \"bench\": \"chaos\",\n");
-    std::fprintf(f, "  \"events\": %d,\n  \"seed\": %llu,\n", opts.events,
-                 static_cast<unsigned long long>(opts.seed));
-    std::fprintf(f, "  \"rates\": [");
-    for (std::size_t i = 0; i < rates.size(); ++i)
-        std::fprintf(f, "%s%g", i ? ", " : "", rates[i]);
-    std::fprintf(f, "],\n  \"results\": [\n");
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const ChaosPoint &p = points[i];
-        std::fprintf(
-            f,
-            "    {\"scheduler\": \"%s\", \"rate\": %g, "
-            "\"baseline_mean_sec\": %.6f, \"mean_response_sec\": %.6f, "
-            "\"degradation\": %.4f, \"goodput\": %.4f, "
-            "\"sla_violation_rate\": %.4f, \"faults_injected\": %llu, "
-            "\"fault_retries\": %llu, \"quarantine_events\": %llu, "
-            "\"apps_failed\": %llu}%s\n",
-            p.scheduler.c_str(), p.rate, p.baselineMeanSec,
-            p.meanResponseSec, p.degradation(), p.goodput,
-            p.slaViolationRate,
-            static_cast<unsigned long long>(p.faultsInjected),
-            static_cast<unsigned long long>(p.faultRetries),
-            static_cast<unsigned long long>(p.quarantineEvents),
-            static_cast<unsigned long long>(p.appsFailed),
-            i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    Options opts = parseOptions(argc, argv);
+    Options opts;
+    bench::parseFlags(argc, argv, {
+        {"--events", &opts.events, "events in the replayed sequence", 2},
+        {"--seed", &opts.seed, "workload and fault seed"},
+        {"--faas-sec", &opts.faasSec,
+         "FaaS deployment length in whole seconds", 1},
+        {"--json", &opts.jsonPath, "results file"},
+        {"--quick", [&opts] { opts.events = 6; opts.faasSec = 4.0; },
+         "smoke size: 6 events, 4 s of FaaS"},
+    });
     setQuiet(true);
 
     AppRegistry registry = standardRegistry();
@@ -229,7 +146,8 @@ main(int argc, char **argv)
                 "rate", "degrade", "goodput", "sla-vio", "faults",
                 "retries", "quar");
 
-    std::vector<ChaosPoint> points;
+    using bench::Json;
+    Json results = Json::array();
     for (const std::string &name : extendedSchedulers()) {
         SystemConfig base;
         base.scheduler = name;
@@ -241,35 +159,49 @@ main(int argc, char **argv)
             cfg.faults = faultsAtRate(rate, opts.seed);
             RunResult r = Simulation(cfg, registry).run(seq);
 
-            ChaosPoint p;
-            p.scheduler = name;
-            p.rate = rate;
-            p.baselineMeanSec = baseline_mean;
-            p.meanResponseSec = meanGoodResponseSec(r.records);
+            double mean = meanGoodResponseSec(r.records);
+            double degradation =
+                baseline_mean > 0 ? mean / baseline_mean : 1.0;
             std::size_t good = 0;
             for (const AppRecord &rec : r.records)
                 good += !rec.failed;
-            p.goodput = static_cast<double>(good) /
-                        static_cast<double>(r.records.size());
-            p.slaViolationRate =
+            double goodput = static_cast<double>(good) /
+                             static_cast<double>(r.records.size());
+            double sla_vio =
                 faasViolationRate(name, cfg.faults, registry, opts);
-            p.faultsInjected = r.hypervisorStats.faultsInjected;
-            p.faultRetries = r.hypervisorStats.faultRetries;
-            p.quarantineEvents = r.hypervisorStats.quarantineEvents;
-            p.appsFailed = r.hypervisorStats.appsFailed;
+            const HypervisorStats &hs = r.hypervisorStats;
 
             std::printf(
                 "%-10s %8.0e %9.2fx %8.3f %8.3f %8llu %8llu %8llu\n",
-                name.c_str(), rate, p.degradation(), p.goodput,
-                p.slaViolationRate,
-                static_cast<unsigned long long>(p.faultsInjected),
-                static_cast<unsigned long long>(p.faultRetries),
-                static_cast<unsigned long long>(p.quarantineEvents));
-            points.push_back(p);
+                name.c_str(), rate, degradation, goodput, sla_vio,
+                static_cast<unsigned long long>(hs.faultsInjected),
+                static_cast<unsigned long long>(hs.faultRetries),
+                static_cast<unsigned long long>(hs.quarantineEvents));
+            results.push(Json::object({
+                {"scheduler", name},
+                {"rate", Json::num(rate, "%g")},
+                {"baseline_mean_sec", Json::num(baseline_mean, "%.6f")},
+                {"mean_response_sec", Json::num(mean, "%.6f")},
+                {"degradation", Json::num(degradation, "%.4f")},
+                {"goodput", Json::num(goodput, "%.4f")},
+                {"sla_violation_rate", Json::num(sla_vio, "%.4f")},
+                {"faults_injected", hs.faultsInjected},
+                {"fault_retries", hs.faultRetries},
+                {"quarantine_events", hs.quarantineEvents},
+                {"apps_failed", hs.appsFailed},
+            }));
         }
     }
 
-    writeJson(opts.jsonPath, points, rates, opts);
+    Json rates_json = Json::array();
+    for (double rate : rates)
+        rates_json.push(Json::num(rate, "%g"));
+    bench::writeJson(opts.jsonPath,
+                     Json::object({{"bench", "chaos"},
+                                   {"events", opts.events},
+                                   {"seed", opts.seed},
+                                   {"rates", rates_json},
+                                   {"results", results}}));
     std::printf("# wrote %s\n", opts.jsonPath.c_str());
     return 0;
 }

@@ -21,12 +21,11 @@
  * Results are also written as BENCH_energy.json (override with --json
  * PATH) for the CI bench-smoke artifact.
  *
- *   bench_energy [--events N] [--seed S] [--json PATH] [--quick]
+ * `bench_energy --help` lists the flags.
  */
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -49,33 +48,6 @@ struct Options
     std::uint64_t seed = 2023;
     std::string jsonPath = "BENCH_energy.json";
 };
-
-Options
-parseOptions(int argc, char **argv)
-{
-    Options o;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                fatal("flag %s needs a value", arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--events")
-            o.events = std::atoi(next());
-        else if (arg == "--seed")
-            o.seed = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--json")
-            o.jsonPath = next();
-        else if (arg == "--quick")
-            o.events = 8;
-        else
-            bench::usageErrorFlag(arg);
-    }
-    if (o.events < 4)
-        fatal("need at least 4 events");
-    return o;
-}
 
 /** A named fabric layout for the sweep. */
 struct FabricCell
@@ -186,22 +158,6 @@ workloadCells(const Options &opts)
     return cells;
 }
 
-/** One (fabric, workload, scheduler) measurement. */
-struct EnergyPoint
-{
-    std::string fabric;
-    std::string workload;
-    std::string scheduler;
-    double jain = 0;
-    double maxMin = 0;
-    double energyPerAppJoules = 0;
-    double totalJoules = 0;
-    double perAppSumJoules = 0;
-    double idleStaticJoules = 0;
-    double makespanSec = 0;
-    double meanResponseSec = 0;
-};
-
 /**
  * Solo response time of one event on @p fabric: the whole board to
  * itself under FCFS. Cached per (fabric, event index) across the
@@ -243,43 +199,18 @@ class SoloOracle
     std::map<int, SimTime> _cache;
 };
 
-void
-writeJson(const std::string &path, const std::vector<EnergyPoint> &points,
-          const Options &opts)
-{
-    FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        fatal("cannot write %s", path.c_str());
-    std::fprintf(f, "{\n  \"bench\": \"energy\",\n");
-    std::fprintf(f, "  \"events\": %d,\n  \"seed\": %llu,\n", opts.events,
-                 static_cast<unsigned long long>(opts.seed));
-    std::fprintf(f, "  \"results\": [\n");
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const EnergyPoint &p = points[i];
-        std::fprintf(
-            f,
-            "    {\"fabric\": \"%s\", \"workload\": \"%s\", "
-            "\"scheduler\": \"%s\", \"jain\": %.4f, "
-            "\"max_min_share\": %.4f, "
-            "\"energy_per_app_joules\": %.4f, \"total_joules\": %.4f, "
-            "\"per_app_sum_joules\": %.4f, "
-            "\"idle_static_joules\": %.4f, "
-            "\"makespan_sec\": %.4f, \"mean_response_sec\": %.4f}%s\n",
-            p.fabric.c_str(), p.workload.c_str(), p.scheduler.c_str(),
-            p.jain, p.maxMin, p.energyPerAppJoules, p.totalJoules,
-            p.perAppSumJoules, p.idleStaticJoules, p.makespanSec,
-            p.meanResponseSec, i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    Options opts = parseOptions(argc, argv);
+    Options opts;
+    bench::parseFlags(argc, argv, {
+        {"--events", &opts.events, "events per workload", 4},
+        {"--seed", &opts.seed, "workload seed"},
+        {"--json", &opts.jsonPath, "results file"},
+        {"--quick", [&opts] { opts.events = 8; }, "smoke size: 8 events"},
+    });
     setQuiet(true);
 
     AppRegistry registry = standardRegistry();
@@ -292,7 +223,8 @@ main(int argc, char **argv)
                 "workload", "sched", "jain", "maxmin", "J/app", "totalJ",
                 "mkspan");
 
-    std::vector<EnergyPoint> points;
+    using bench::Json;
+    Json results = Json::array();
     for (const FabricCell &fabric : fabricCells()) {
         SoloOracle solo(fabric.config, registry);
         for (const WorkloadCell &load : workloadCells(opts)) {
@@ -324,33 +256,40 @@ main(int argc, char **argv)
                     }
                 }
 
-                EnergyPoint p;
-                p.fabric = fabric.name;
-                p.workload = load.name;
-                p.scheduler = sched;
-                p.jain = jainsIndex(progress);
-                p.maxMin = maxMinShare(progress);
-                p.totalJoules = r.energy.totalJoules;
-                p.perAppSumJoules = per_app_sum;
-                p.idleStaticJoules = r.energy.idleStaticJoules;
-                p.energyPerAppJoules =
+                double jain = jainsIndex(progress);
+                double max_min = maxMinShare(progress);
+                double per_app =
                     retired ? r.energy.totalJoules /
                                   static_cast<double>(retired)
                             : 0.0;
-                p.makespanSec = simtime::toSec(r.makespan);
-                p.meanResponseSec = meanResponseSec(r.records);
-                points.push_back(p);
+                double makespan = simtime::toSec(r.makespan);
+                auto j4 = [](double v) { return Json::num(v, "%.4f"); };
+                results.push(Json::object({
+                    {"fabric", fabric.name},
+                    {"workload", load.name},
+                    {"scheduler", sched},
+                    {"jain", j4(jain)},
+                    {"max_min_share", j4(max_min)},
+                    {"energy_per_app_joules", j4(per_app)},
+                    {"total_joules", j4(r.energy.totalJoules)},
+                    {"per_app_sum_joules", j4(per_app_sum)},
+                    {"idle_static_joules", j4(r.energy.idleStaticJoules)},
+                    {"makespan_sec", j4(makespan)},
+                    {"mean_response_sec", j4(meanResponseSec(r.records))},
+                }));
 
                 std::printf(
                     "%-8s %-9s %-9s %7.4f %7.4f %9.2f %9.2f %8.2fs\n",
-                    p.fabric.c_str(), p.workload.c_str(),
-                    p.scheduler.c_str(), p.jain, p.maxMin,
-                    p.energyPerAppJoules, p.totalJoules, p.makespanSec);
+                    fabric.name.c_str(), load.name.c_str(), sched.c_str(),
+                    jain, max_min, per_app, r.energy.totalJoules, makespan);
             }
         }
     }
 
-    writeJson(opts.jsonPath, points, opts);
+    bench::writeJson(opts.jsonPath, Json::object({{"bench", "energy"},
+                                                  {"events", opts.events},
+                                                  {"seed", opts.seed},
+                                                  {"results", results}}));
     std::printf("# wrote %s\n", opts.jsonPath.c_str());
     return 0;
 }

@@ -22,13 +22,11 @@
  * (override with --json PATH) for the CI bench-smoke artifact, which
  * asserts the rebalanced p99 beats dispatch-only in both scenarios.
  *
- *   bench_migration [--events N] [--seed S] [--json PATH]
- *                   [--dispatch P] [--quick]
+ * `bench_migration --help` lists the flags.
  */
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -50,46 +48,6 @@ struct Options
     /** Override the per-scenario dispatch policy; empty = scenario's. */
     std::string dispatch;
 };
-
-Options
-parseOptions(int argc, char **argv)
-{
-    Options o;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                fatal("flag %s needs a value", arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--events")
-            o.events = std::atoi(next());
-        else if (arg == "--seed")
-            o.seed = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--json")
-            o.jsonPath = next();
-        else if (arg == "--dispatch") {
-            o.dispatch = next();
-            DispatchPolicy p;
-            if (!tryParseDispatchPolicy(o.dispatch.c_str(), p)) {
-                std::string valid;
-                for (const std::string &name : dispatchPolicyNames())
-                    valid += (valid.empty() ? "" : ", ") + name;
-                std::fprintf(stderr,
-                             "unknown dispatch policy '%s'; valid: %s\n",
-                             o.dispatch.c_str(), valid.c_str());
-                std::exit(2);
-            }
-        } else if (arg == "--quick") {
-            o.events = 8;
-        } else {
-            bench::usageErrorFlag(arg);
-        }
-    }
-    if (o.events < 4)
-        fatal("need at least 4 events");
-    return o;
-}
 
 enum class MigrationScenario
 {
@@ -274,44 +232,22 @@ runCell(const AppRegistry &registry, const std::string &scheduler,
     return p;
 }
 
-void
-writeJson(const std::string &path,
-          const std::vector<MigrationPoint> &points, const Options &opts)
-{
-    FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        fatal("cannot write %s", path.c_str());
-    std::fprintf(f, "{\n  \"bench\": \"migration\",\n");
-    std::fprintf(f, "  \"events\": %d,\n  \"seed\": %llu,\n", opts.events,
-                 static_cast<unsigned long long>(opts.seed));
-    std::fprintf(f, "  \"results\": [\n");
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const MigrationPoint &p = points[i];
-        std::fprintf(
-            f,
-            "    {\"scheduler\": \"%s\", \"scenario\": \"%s\", "
-            "\"dispatch\": \"%s\", \"rebalance\": \"%s\", "
-            "\"p50_sec\": %.6f, \"p99_sec\": %.6f, \"mean_sec\": %.6f, "
-            "\"migrations\": %llu, \"migrations_aborted\": %llu, "
-            "\"bytes_moved_mb\": %.3f, \"submitted\": %zu, "
-            "\"retired\": %zu}%s\n",
-            p.scheduler.c_str(), toString(p.scenario), p.dispatch.c_str(),
-            p.rebalance.c_str(), p.p50Sec, p.p99Sec, p.meanSec,
-            static_cast<unsigned long long>(p.migrations),
-            static_cast<unsigned long long>(p.migrationsAborted),
-            p.bytesMovedMb, p.submitted, p.retired,
-            i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    Options opts = parseOptions(argc, argv);
+    Options opts;
+    bench::parseFlags(argc, argv, {
+        {"--events", &opts.events, "events per scenario", 4},
+        {"--seed", &opts.seed, "fault-injector seed"},
+        {"--json", &opts.jsonPath, "results file"},
+        {"--dispatch",
+         bench::Choice{&opts.dispatch, "dispatch policy",
+                       dispatchPolicyNames()},
+         "override every scenario's dispatch policy"},
+        {"--quick", [&opts] { opts.events = 8; }, "smoke size: 8 events"},
+    });
     setQuiet(true);
 
     AppRegistry registry = standardRegistry();
@@ -322,7 +258,9 @@ main(int argc, char **argv)
                 "scen", "dispatch", "rebalance", "p50", "p99", "mean",
                 "moves");
 
+    using bench::Json;
     std::vector<MigrationPoint> points;
+    Json results = Json::array();
     for (const char *scheduler : {"nimblock", "prema"}) {
         for (MigrationScenario scenario :
              {MigrationScenario::Skew, MigrationScenario::Fault}) {
@@ -335,6 +273,20 @@ main(int argc, char **argv)
                     p.dispatch.c_str(), p.rebalance.c_str(), p.p50Sec,
                     p.p99Sec, p.meanSec,
                     static_cast<unsigned long long>(p.migrations));
+                results.push(Json::object({
+                    {"scheduler", p.scheduler},
+                    {"scenario", toString(p.scenario)},
+                    {"dispatch", p.dispatch},
+                    {"rebalance", p.rebalance},
+                    {"p50_sec", Json::num(p.p50Sec, "%.6f")},
+                    {"p99_sec", Json::num(p.p99Sec, "%.6f")},
+                    {"mean_sec", Json::num(p.meanSec, "%.6f")},
+                    {"migrations", p.migrations},
+                    {"migrations_aborted", p.migrationsAborted},
+                    {"bytes_moved_mb", Json::num(p.bytesMovedMb, "%.3f")},
+                    {"submitted", p.submitted},
+                    {"retired", p.retired},
+                }));
                 points.push_back(std::move(p));
             }
         }
@@ -354,7 +306,10 @@ main(int argc, char **argv)
         }
     }
 
-    writeJson(opts.jsonPath, points, opts);
+    bench::writeJson(opts.jsonPath, Json::object({{"bench", "migration"},
+                                                  {"events", opts.events},
+                                                  {"seed", opts.seed},
+                                                  {"results", results}}));
     std::printf("# wrote %s\n", opts.jsonPath.c_str());
     return 0;
 }

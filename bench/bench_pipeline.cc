@@ -22,16 +22,12 @@
  * --json PATH) for the CI bench-smoke artifact and the committed
  * baseline guarded by scripts/check_bench_regression.py.
  *
- *   bench_pipeline [--events N] [--batch N] [--seed S] [--json PATH]
- *                  [--app NAME] [--sched NAME] [--quick]
- *
- * --app / --sched restrict the sweep to one row/column; unknown names
- * print the valid list and exit 2 (bench::usageErrorNames).
+ * `bench_pipeline --help` lists the flags; --app / --sched restrict the
+ * sweep to one row/column.
  */
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -58,70 +54,6 @@ struct Options
     std::string sched;
 };
 
-Options
-parseOptions(int argc, char **argv)
-{
-    Options o;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                fatal("flag %s needs a value", arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--events") {
-            o.events = std::atoi(next());
-        } else if (arg == "--batch") {
-            o.batch = std::atoi(next());
-        } else if (arg == "--spacing-ms") {
-            o.spacingMs = std::atoi(next());
-        } else if (arg == "--seed") {
-            o.seed = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--json") {
-            o.jsonPath = next();
-        } else if (arg == "--app") {
-            o.app = next();
-            if (!tryMakeApp(o.app))
-                bench::usageErrorNames("application", o.app, appNames());
-        } else if (arg == "--sched") {
-            o.sched = next();
-            if (!tryMakeScheduler(o.sched))
-                bench::usageErrorNames("scheduler", o.sched,
-                                       schedulerNames());
-        } else if (arg == "--quick") {
-            o.events = 5;
-            o.batch = 4;
-        } else if (arg == "--help" || arg == "-h") {
-            std::printf("flags: --events N --batch N --spacing-ms N "
-                        "--seed S --json PATH --app NAME --sched NAME "
-                        "--quick\n");
-            std::exit(0);
-        } else {
-            bench::usageErrorFlag(arg);
-        }
-    }
-    if (o.events < 1)
-        fatal("--events must be positive");
-    if (o.batch < 2)
-        fatal("--batch must be at least 2 (a single-item batch never "
-              "primes the pipeline)");
-    if (o.spacingMs < 0)
-        fatal("--spacing-ms must be non-negative");
-    return o;
-}
-
-/** One (app, scheduler, mode) measurement. */
-struct PipelinePoint
-{
-    std::string app;
-    std::string scheduler;
-    std::string mode; // "pipelined" | "scalar"
-    double meanResponseSec = 0;
-    double makespanSec = 0;
-    std::uint64_t itemsExecuted = 0;
-    std::uint64_t checkpointPreemptions = 0;
-};
-
 /**
  * Same arrival pattern for both modes; only the app name differs.
  *
@@ -145,55 +77,32 @@ sequenceFor(const std::string &app_name, const Options &opts)
     return seq;
 }
 
-PipelinePoint
-runCell(const AppRegistry &registry, const std::string &app_name,
-        const std::string &sched, const std::string &mode,
-        const Options &opts)
+/**
+ * Run @p app in @p mode ("pipelined" or "scalar", its scalarClone())
+ * under @p sched, append the cell's JSON row to @p results and return
+ * its mean response time.
+ */
+double
+runCell(bench::Json &results, const AppRegistry &registry,
+        const std::string &app, const std::string &sched,
+        const std::string &mode, const Options &opts)
 {
+    using bench::Json;
     SystemConfig cfg;
     cfg.scheduler = sched;
-    RunResult r = Simulation(cfg, registry).run(sequenceFor(app_name, opts));
-
-    PipelinePoint p;
-    p.scheduler = sched;
-    p.mode = mode;
-    p.meanResponseSec = meanResponseSec(r.records);
-    p.makespanSec = simtime::toSec(r.makespan);
-    p.itemsExecuted = r.hypervisorStats.itemsExecuted;
-    p.checkpointPreemptions = r.hypervisorStats.checkpointPreemptions;
-    return p;
-}
-
-void
-writeJson(const std::string &path, const std::vector<PipelinePoint> &points,
-          const Options &opts)
-{
-    FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        fatal("cannot write %s", path.c_str());
-    std::fprintf(f, "{\n  \"bench\": \"pipeline\",\n");
-    std::fprintf(f, "  \"events\": %d,\n  \"batch\": %d,\n", opts.events,
-                 opts.batch);
-    std::fprintf(f, "  \"spacing_ms\": %d,\n", opts.spacingMs);
-    std::fprintf(f, "  \"seed\": %llu,\n",
-                 static_cast<unsigned long long>(opts.seed));
-    std::fprintf(f, "  \"results\": [\n");
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const PipelinePoint &p = points[i];
-        std::fprintf(
-            f,
-            "    {\"app\": \"%s\", \"scheduler\": \"%s\", "
-            "\"mode\": \"%s\", \"mean_response_sec\": %.6f, "
-            "\"makespan_sec\": %.6f, \"items_executed\": %llu, "
-            "\"checkpoint_preemptions\": %llu}%s\n",
-            p.app.c_str(), p.scheduler.c_str(), p.mode.c_str(),
-            p.meanResponseSec, p.makespanSec,
-            static_cast<unsigned long long>(p.itemsExecuted),
-            static_cast<unsigned long long>(p.checkpointPreemptions),
-            i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
+    std::string run_app = mode == "scalar" ? app + "_scalar" : app;
+    RunResult r = Simulation(cfg, registry).run(sequenceFor(run_app, opts));
+    double mean = meanResponseSec(r.records);
+    results.push(Json::object({
+        {"app", app},
+        {"scheduler", sched},
+        {"mode", mode},
+        {"mean_response_sec", Json::num(mean, "%.6f")},
+        {"makespan_sec", Json::num(simtime::toSec(r.makespan), "%.6f")},
+        {"items_executed", r.hypervisorStats.itemsExecuted},
+        {"checkpoint_preemptions", r.hypervisorStats.checkpointPreemptions},
+    }));
+    return mean;
 }
 
 } // namespace
@@ -201,7 +110,24 @@ writeJson(const std::string &path, const std::vector<PipelinePoint> &points,
 int
 main(int argc, char **argv)
 {
-    Options opts = parseOptions(argc, argv);
+    Options opts;
+    std::vector<std::string> library_apps;
+    for (const AppSpecPtr &spec : library::all())
+        library_apps.push_back(spec->name());
+    bench::parseFlags(argc, argv, {
+        {"--events", &opts.events, "arrivals per cell", 1},
+        {"--batch", &opts.batch,
+         "items per arrival; one item never primes the pipeline", 2},
+        {"--spacing-ms", &opts.spacingMs, "arrival spacing in ms", 0},
+        {"--seed", &opts.seed, "recorded seed (the sweep is deterministic)"},
+        {"--json", &opts.jsonPath, "results file"},
+        {"--app", bench::Choice{&opts.app, "application", library_apps},
+         "restrict the sweep to one library app"},
+        {"--sched", bench::Choice{&opts.sched, "scheduler", schedulerNames()},
+         "restrict the sweep to one scheduler"},
+        {"--quick", [&opts] { opts.events = 5; opts.batch = 4; },
+         "smoke size: 5 events of batch 4"},
+    });
     setQuiet(true);
 
     // One registry with both members of every A/B pair, so a cell is
@@ -222,41 +148,30 @@ main(int argc, char **argv)
     std::printf("%-18s %-9s %10s %10s %8s\n", "app", "sched", "scalar_s",
                 "piped_s", "speedup");
 
-    std::vector<PipelinePoint> points;
+    bench::Json results = bench::Json::array();
     std::uint64_t runs = 0;
     for (const AppSpecPtr &spec : apps) {
         if (!opts.app.empty() && spec->name() != opts.app)
             continue;
         for (const std::string &sched : schedulers) {
-            PipelinePoint scalar =
-                runCell(registry, spec->name() + "_scalar", sched,
-                        "scalar", opts);
-            scalar.app = spec->name();
-            PipelinePoint piped =
-                runCell(registry, spec->name(), sched, "pipelined", opts);
-            piped.app = spec->name();
+            double scalar =
+                runCell(results, registry, spec->name(), sched, "scalar", opts);
+            double piped = runCell(results, registry, spec->name(), sched,
+                                   "pipelined", opts);
             runs += 2;
-
-            double speedup =
-                piped.meanResponseSec > 0
-                    ? scalar.meanResponseSec / piped.meanResponseSec
-                    : 0.0;
             std::printf("%-18s %-9s %10.3f %10.3f %7.3fx\n",
-                        spec->name().c_str(), sched.c_str(),
-                        scalar.meanResponseSec, piped.meanResponseSec,
-                        speedup);
-
-            points.push_back(scalar);
-            points.push_back(piped);
+                        spec->name().c_str(), sched.c_str(), scalar, piped,
+                        piped > 0 ? scalar / piped : 0.0);
         }
     }
 
-    if (points.empty())
-        fatal("--app '%s' is not a library app (library apps: hash_tree, "
-              "video_transcode, transformer_block)",
-              opts.app.c_str());
-
-    writeJson(opts.jsonPath, points, opts);
+    bench::writeJson(opts.jsonPath,
+                     bench::Json::object({{"bench", "pipeline"},
+                                          {"events", opts.events},
+                                          {"batch", opts.batch},
+                                          {"spacing_ms", opts.spacingMs},
+                                          {"seed", opts.seed},
+                                          {"results", results}}));
     std::printf("# wrote %s (%llu runs)\n", opts.jsonPath.c_str(),
                 static_cast<unsigned long long>(runs));
     return 0;

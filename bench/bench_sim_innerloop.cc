@@ -20,17 +20,12 @@
  * Results are also written as BENCH_innerloop.json (override with
  * --json PATH) for the CI bench-smoke artifact.
  *
- *   bench_sim_innerloop [--events N] [--seed S] [--reps R] [--json PATH]
+ * `bench_sim_innerloop --help` lists the flags.
  */
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <ctime>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -58,54 +53,13 @@ struct Options
     std::uint64_t seed = 2023;
     int reps = 3;
     std::string jsonPath = "BENCH_innerloop.json";
-    EventQueueImpl impl = EventQueueImpl::Auto;
-    bool elide = true;
+    std::string impl = "auto";
+    bool noElide = false;
 };
-
-Options
-parseOptions(int argc, char **argv)
-{
-    Options o;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                fatal("flag %s needs a value", arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--events")
-            o.events = std::atoi(next());
-        else if (arg == "--seed")
-            o.seed = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--reps")
-            o.reps = std::atoi(next());
-        else if (arg == "--json")
-            o.jsonPath = next();
-        else if (arg == "--impl") {
-            std::string v = next();
-            if (v == "wheel")
-                o.impl = EventQueueImpl::Wheel;
-            else if (v == "heap")
-                o.impl = EventQueueImpl::Heap;
-            else if (v == "auto")
-                o.impl = EventQueueImpl::Auto;
-            else
-                fatal("--impl must be 'wheel', 'heap' or 'auto', got '%s'",
-                      v.c_str());
-        } else if (arg == "--no-elide")
-            o.elide = false;
-        else
-            bench::usageErrorFlag(arg);
-    }
-    if (o.events < 2 || o.reps < 1)
-        fatal("need at least 2 events and 1 rep");
-    return o;
-}
 
 /** Per-scheduler measurement. */
 struct Result
 {
-    std::string scheduler;
     std::uint64_t eventsFired = 0;
     std::uint64_t passes = 0;
     std::uint64_t passesElided = 0;
@@ -191,12 +145,12 @@ runOnce(const std::string &scheduler_name, const SystemConfig &cfg,
         const AppRegistry &registry, const EventSequence &seq,
         const Options &opts, const GridContext &ctx)
 {
-    EventQueue eq(opts.impl);
+    EventQueue eq(bench::queueImpl(opts.impl));
     Fabric fabric(eq, cfg.fabric);
     auto scheduler = makeScheduler(scheduler_name);
     MetricsCollector collector;
     HypervisorConfig hcfg = cfg.hypervisor;
-    hcfg.elidePurePasses = opts.elide;
+    hcfg.elidePurePasses = !opts.noElide;
     Hypervisor hyp(eq, fabric, *scheduler, collector, hcfg);
     // Run-invariant state is interned once in main() and shared by every
     // rep and scheduler: the measured loop fills no estimate caches.
@@ -233,7 +187,6 @@ runOnce(const std::string &scheduler_name, const SystemConfig &cfg,
     hyp.start();
 
     Result r;
-    r.scheduler = scheduler_name;
     const std::size_t total = seq.events.size();
     bool window_open = false, window_done = false, stopped = false;
     std::uint64_t window_start_fired = 0;
@@ -289,115 +242,20 @@ runOnce(const std::string &scheduler_name, const SystemConfig &cfg,
     return r;
 }
 
-/**
- * Recover the per-line entries of the "history" array from a previous
- * results file, so re-running the bench accumulates a dated trajectory
- * instead of overwriting it. Tolerant of a missing file or a pre-history
- * format (both yield an empty list); relies on the writer below emitting
- * one entry per line.
- */
-std::vector<std::string>
-readHistory(const std::string &path)
-{
-    std::vector<std::string> out;
-    std::ifstream in(path);
-    if (!in)
-        return out;
-    std::string line;
-    bool inside = false;
-    while (std::getline(in, line)) {
-        if (line.find("\"history\"") != std::string::npos) {
-            inside = true;
-            continue;
-        }
-        if (!inside)
-            continue;
-        if (line.find(']') != std::string::npos)
-            break;
-        std::size_t open = line.find('{');
-        std::size_t close = line.rfind('}');
-        if (open != std::string::npos && close != std::string::npos)
-            out.push_back(line.substr(open, close - open + 1));
-    }
-    return out;
-}
-
-void
-writeJson(const std::string &path, const std::vector<Result> &results,
-          const std::vector<QueueResult> &queue, const Options &opts)
-{
-    // Carry forward previous dated entries, then append this run.
-    std::vector<std::string> history = readHistory(path);
-    {
-        std::time_t now = std::time(nullptr);
-        char date[32];
-        std::strftime(date, sizeof(date), "%Y-%m-%d", std::localtime(&now));
-        std::ostringstream entry;
-        const char *impl_name = opts.impl == EventQueueImpl::Wheel ? "wheel"
-                                : opts.impl == EventQueueImpl::Heap
-                                    ? "heap"
-                                    : "auto";
-        entry << "{\"date\": \"" << date << "\", \"impl\": \"" << impl_name
-              << "\"";
-        for (const Result &r : results) {
-            entry << ", \"" << r.scheduler << "\": "
-                  << static_cast<long long>(r.eventsPerSec());
-        }
-        entry << "}";
-        history.push_back(entry.str());
-    }
-
-    FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        fatal("cannot write %s", path.c_str());
-    std::fprintf(f, "{\n  \"bench\": \"sim_innerloop\",\n");
-    std::fprintf(f, "  \"events\": %d,\n  \"seed\": %llu,\n",
-                 opts.events, static_cast<unsigned long long>(opts.seed));
-    std::fprintf(f, "  \"schedulers\": [\n");
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const Result &r = results[i];
-        std::fprintf(
-            f,
-            "    {\"name\": \"%s\", \"events_fired\": %llu, "
-            "\"passes\": %llu, \"wall_sec\": %.6f, "
-            "\"events_per_sec\": %.0f, \"passes_per_sec\": %.0f, "
-            "\"window_events\": %llu, \"window_allocs\": %llu, "
-            "\"window_alloc_bytes\": %llu, \"allocs_per_event\": %.4f}%s\n",
-            r.scheduler.c_str(),
-            static_cast<unsigned long long>(r.eventsFired),
-            static_cast<unsigned long long>(r.passes), r.wallSec,
-            r.eventsPerSec(), r.passesPerSec(),
-            static_cast<unsigned long long>(r.windowEvents),
-            static_cast<unsigned long long>(r.windowAllocs),
-            static_cast<unsigned long long>(r.windowAllocBytes),
-            r.allocsPerEvent(), i + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"queue\": [\n");
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-        const QueueResult &q = queue[i];
-        std::fprintf(f,
-                     "    {\"impl\": \"%s\", \"depth\": %zu, "
-                     "\"ops\": %llu, \"wall_sec\": %.6f, "
-                     "\"ops_per_sec\": %.0f}%s\n",
-                     q.impl, q.depth,
-                     static_cast<unsigned long long>(q.ops), q.wallSec,
-                     q.opsPerSec(), i + 1 < queue.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"history\": [\n");
-    for (std::size_t i = 0; i < history.size(); ++i) {
-        std::fprintf(f, "    %s%s\n", history[i].c_str(),
-                     i + 1 < history.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    Options opts = parseOptions(argc, argv);
+    Options opts;
+    bench::parseFlags(argc, argv, {
+        {"--events", &opts.events, "events in the stress sequence", 2},
+        {"--seed", &opts.seed, "workload seed"},
+        {"--reps", &opts.reps, "repetitions; the best wall time counts", 1},
+        {"--json", &opts.jsonPath, "results file; history is appended"},
+        bench::queueImplFlag(&opts.impl),
+        {"--no-elide", &opts.noElide, "run every pure scheduling pass"},
+    });
     setQuiet(true);
 
     AppRegistry registry = standardRegistry();
@@ -426,7 +284,9 @@ main(int argc, char **argv)
                 "events", "events/s", "passes/s", "elided",
                 "window-allocs", "allocs/ev");
 
-    std::vector<Result> results;
+    using bench::Json;
+    Json schedulers = Json::array();
+    Json entry = Json::object({{"impl", opts.impl}});
     for (const std::string &name : evaluationSchedulers()) {
         Result best;
         for (int rep = 0; rep < opts.reps; ++rep) {
@@ -435,30 +295,54 @@ main(int argc, char **argv)
                 best = r;
         }
         std::printf("%-10s %12llu %12.0f %12.0f %10llu %14llu %12.4f\n",
-                    best.scheduler.c_str(),
+                    name.c_str(),
                     static_cast<unsigned long long>(best.eventsFired),
                     best.eventsPerSec(), best.passesPerSec(),
                     static_cast<unsigned long long>(best.passesElided),
                     static_cast<unsigned long long>(best.windowAllocs),
                     best.allocsPerEvent());
-        results.push_back(best);
+        schedulers.push(Json::object({
+            {"name", name},
+            {"events_fired", best.eventsFired},
+            {"passes", best.passes},
+            {"wall_sec", Json::num(best.wallSec, "%.6f")},
+            {"events_per_sec", Json::num(best.eventsPerSec(), "%.0f")},
+            {"passes_per_sec", Json::num(best.passesPerSec(), "%.0f")},
+            {"window_events", best.windowEvents},
+            {"window_allocs", best.windowAllocs},
+            {"window_alloc_bytes", best.windowAllocBytes},
+            {"allocs_per_event", Json::num(best.allocsPerEvent(), "%.4f")},
+        }));
+        entry.add(name, static_cast<long long>(best.eventsPerSec()));
     }
 
     // Bare-kernel hold-model sweep: where does the wheel overtake the
     // heap as the pending set grows?
     std::printf("%-10s %12s %12s\n", "queue", "depth", "hold-ops/s");
-    std::vector<QueueResult> queue;
+    Json queue = Json::array();
     for (std::size_t depth : {1000u, 10000u, 100000u}) {
         for (EventQueueImpl impl :
              {EventQueueImpl::Wheel, EventQueueImpl::Heap}) {
             QueueResult q = runQueueSweep(impl, depth, opts.reps);
             std::printf("%-10s %12zu %12.0f\n", q.impl, q.depth,
                         q.opsPerSec());
-            queue.push_back(q);
+            queue.push(Json::object({
+                {"impl", q.impl},
+                {"depth", q.depth},
+                {"ops", q.ops},
+                {"wall_sec", Json::num(q.wallSec, "%.6f")},
+                {"ops_per_sec", Json::num(q.opsPerSec(), "%.0f")},
+            }));
         }
     }
 
-    writeJson(opts.jsonPath, results, queue, opts);
+    bench::writeWithHistory(opts.jsonPath,
+                            Json::object({{"bench", "sim_innerloop"},
+                                          {"events", opts.events},
+                                          {"seed", opts.seed},
+                                          {"schedulers", schedulers},
+                                          {"queue", queue}}),
+                            entry);
     std::printf("# wrote %s\n", opts.jsonPath.c_str());
     return 0;
 }

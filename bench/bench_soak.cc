@@ -27,19 +27,13 @@
  * Results land in BENCH_soak.json (override with --json PATH) with the
  * usual append-don't-overwrite dated history array.
  *
- *   bench_soak [--quick] [--seed S] [--json PATH] [--impl I]
- *              [--boards N] [--rate R] [--horizon-sec S]
+ * `bench_soak --help` lists the flags.
  */
 
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <ctime>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -64,55 +58,13 @@ struct Options
     bool quick = false;
     std::uint64_t seed = 2023;
     std::string jsonPath = "BENCH_soak.json";
-    EventQueueImpl impl = EventQueueImpl::Auto;
+    std::string impl = "auto";
     std::size_t boards = 4;
     /** Override the grid arrival rate; 0 keeps the per-mode default. */
     double rate = 0;
     /** Override the grid horizon; 0 keeps the per-mode default. */
     double horizonSec = 0;
 };
-
-Options
-parseOptions(int argc, char **argv)
-{
-    Options o;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                fatal("flag %s needs a value", arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--quick")
-            o.quick = true;
-        else if (arg == "--seed")
-            o.seed = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--json")
-            o.jsonPath = next();
-        else if (arg == "--impl") {
-            std::string v = next();
-            if (v == "wheel")
-                o.impl = EventQueueImpl::Wheel;
-            else if (v == "heap")
-                o.impl = EventQueueImpl::Heap;
-            else if (v == "auto")
-                o.impl = EventQueueImpl::Auto;
-            else
-                fatal("--impl must be 'wheel', 'heap' or 'auto', got '%s'",
-                      v.c_str());
-        } else if (arg == "--boards")
-            o.boards = static_cast<std::size_t>(std::atoi(next()));
-        else if (arg == "--rate")
-            o.rate = std::atof(next());
-        else if (arg == "--horizon-sec")
-            o.horizonSec = std::atof(next());
-        else
-            bench::usageErrorFlag(arg);
-    }
-    if (o.boards < 1)
-        fatal("need at least one board");
-    return o;
-}
 
 /** Single-task app: the minimal streaming kernel. */
 AppSpecPtr
@@ -248,7 +200,7 @@ runCell(const std::string &label, SoakConfig cfg,
         std::vector<TenantSpec> tenants, const Options &opts,
         const WindowPlan &plan = WindowPlan{})
 {
-    cfg.cluster.board.eventQueue = opts.impl;
+    cfg.cluster.board.eventQueue = bench::queueImpl(opts.impl);
     CellResult r;
     r.label = label;
     r.arrival = arrivalKindName(cfg.arrivals.kind);
@@ -331,131 +283,50 @@ printRow(const CellResult &r)
                 static_cast<double>(r.peakRssBytes) / (1 << 20));
 }
 
-std::vector<std::string>
-readHistory(const std::string &path)
+bench::Json
+mbJson(std::uint64_t bytes)
 {
-    std::vector<std::string> out;
-    std::ifstream in(path);
-    if (!in)
-        return out;
-    std::string line;
-    bool inside = false;
-    while (std::getline(in, line)) {
-        if (line.find("\"history\"") != std::string::npos) {
-            inside = true;
-            continue;
-        }
-        if (!inside)
-            continue;
-        if (line.find(']') != std::string::npos)
-            break;
-        std::size_t open = line.find('{');
-        std::size_t close = line.rfind('}');
-        if (open != std::string::npos && close != std::string::npos)
-            out.push_back(line.substr(open, close - open + 1));
-    }
-    return out;
+    return bench::Json::num(static_cast<double>(bytes) / (1 << 20), "%.1f");
 }
 
-void
-printCellJson(FILE *f, const CellResult &r, bool last)
+bench::Json
+cellJson(const CellResult &r)
 {
-    // No completed SLA window is no data, written as null rather than a
-    // number that reads as an attainment.
-    double worst = r.stats.worstWindowAttainment;
-    std::string worst_json =
-        std::isnan(worst) ? "null" : formatMessage("%.4f", worst);
-    std::fprintf(
-        f,
-        "    {\"label\": \"%s\", \"arrival\": \"%s\", "
-        "\"scheduler\": \"%s\", \"admission\": \"%s\", "
-        "\"rate_per_sec\": %.1f, \"horizon_sec\": %.1f, "
-        "\"submitted\": %llu, \"admitted\": %llu, \"shed\": %llu, "
-        "\"retired\": %llu, \"events_fired\": %llu, \"peak_live\": %llu, "
-        "\"p50_ms\": %.3f, \"p99_ms\": %.3f, \"p999_ms\": %.3f, "
-        "\"max_ms\": %.3f, \"sla\": %.4f, \"worst_window_sla\": %s, "
-        "\"sla_windows_completed\": %llu, "
-        "\"wall_sec\": %.3f, \"submitted_per_sec_wall\": %.0f, "
-        "\"retired_per_sec_wall\": %.0f, \"peak_rss_mb\": %.1f, "
-        "\"window_events\": %llu, \"window_allocs\": %llu, "
-        "\"window_alloc_bytes\": %llu, \"allocs_per_event\": %.6f}%s\n",
-        r.label.c_str(), r.arrival.c_str(), r.scheduler.c_str(),
-        r.admission.c_str(), r.ratePerSec, r.horizonSec,
-        static_cast<unsigned long long>(r.stats.submitted),
-        static_cast<unsigned long long>(r.stats.admitted),
-        static_cast<unsigned long long>(r.stats.shed),
-        static_cast<unsigned long long>(r.stats.retired),
-        static_cast<unsigned long long>(r.stats.eventsFired),
-        static_cast<unsigned long long>(r.stats.peakLive),
-        simtime::toMs(r.stats.latencyNs.quantile(0.50)),
-        simtime::toMs(r.stats.latencyNs.quantile(0.99)),
-        simtime::toMs(r.stats.latencyNs.quantile(0.999)),
-        simtime::toMs(r.stats.latencyNs.max()), r.stats.slaAttainment,
-        worst_json.c_str(),
-        static_cast<unsigned long long>(r.stats.slaWindowsCompleted),
-        r.wallSec, r.submittedPerSecWall(),
-        r.retiredPerSecWall(),
-        static_cast<double>(r.peakRssBytes) / (1 << 20),
-        static_cast<unsigned long long>(r.windowEvents),
-        static_cast<unsigned long long>(r.windowAllocs),
-        static_cast<unsigned long long>(r.windowAllocBytes),
-        r.allocsPerEvent(), last ? "" : ",");
-}
-
-void
-writeJson(const std::string &path, const std::vector<CellResult> &grid,
-          const std::vector<CellResult> &admission,
-          const CellResult &headline, const CellResult &rss1h,
-          const Options &opts)
-{
-    std::vector<std::string> history = readHistory(path);
-    {
-        std::time_t now = std::time(nullptr);
-        char date[32];
-        std::strftime(date, sizeof(date), "%Y-%m-%d", std::localtime(&now));
-        std::ostringstream entry;
-        entry << "{\"date\": \"" << date << "\", \"quick\": "
-              << (opts.quick ? "true" : "false")
-              << ", \"headline_submitted_per_sec\": "
-              << static_cast<long long>(headline.submittedPerSecWall())
-              << ", \"headline_retired_per_sec\": "
-              << static_cast<long long>(headline.retiredPerSecWall())
-              << ", \"headline_allocs_per_event\": "
-              << headline.allocsPerEvent() << "}";
-        history.push_back(entry.str());
-    }
-
-    FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        fatal("cannot write %s", path.c_str());
-    std::fprintf(f, "{\n  \"bench\": \"soak\",\n");
-    std::fprintf(f, "  \"quick\": %s,\n  \"seed\": %llu,\n",
-                 opts.quick ? "true" : "false",
-                 static_cast<unsigned long long>(opts.seed));
-    std::fprintf(f, "  \"boards\": %zu,\n", opts.boards);
-    std::fprintf(f, "  \"cells\": [\n");
-    for (std::size_t i = 0; i < grid.size(); ++i)
-        printCellJson(f, grid[i], i + 1 == grid.size());
-    std::fprintf(f, "  ],\n  \"admission\": [\n");
-    for (std::size_t i = 0; i < admission.size(); ++i)
-        printCellJson(f, admission[i], i + 1 == admission.size());
-    std::fprintf(f, "  ],\n  \"headline\": [\n");
-    printCellJson(f, headline, true);
-    std::fprintf(f, "  ],\n  \"rss_pair\": {\"short_horizon_sec\": %.1f, "
-                    "\"short_peak_rss_mb\": %.1f, "
-                    "\"long_horizon_sec\": %.1f, "
-                    "\"long_peak_rss_mb\": %.1f},\n",
-                 rss1h.horizonSec,
-                 static_cast<double>(rss1h.peakRssBytes) / (1 << 20),
-                 headline.horizonSec,
-                 static_cast<double>(headline.peakRssBytes) / (1 << 20));
-    std::fprintf(f, "  \"history\": [\n");
-    for (std::size_t i = 0; i < history.size(); ++i) {
-        std::fprintf(f, "    %s%s\n", history[i].c_str(),
-                     i + 1 < history.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
+    using bench::Json;
+    const SoakStats &st = r.stats;
+    auto ms = [](SimTime t) { return Json::num(simtime::toMs(t), "%.3f"); };
+    // No retirement or no completed SLA window is no data: NaN, which
+    // Json::num writes as null rather than a number that reads as an
+    // attainment.
+    return Json::object({
+        {"label", r.label},
+        {"arrival", r.arrival},
+        {"scheduler", r.scheduler},
+        {"admission", r.admission},
+        {"rate_per_sec", Json::num(r.ratePerSec, "%.1f")},
+        {"horizon_sec", Json::num(r.horizonSec, "%.1f")},
+        {"submitted", st.submitted},
+        {"admitted", st.admitted},
+        {"shed", st.shed},
+        {"retired", st.retired},
+        {"events_fired", st.eventsFired},
+        {"peak_live", st.peakLive},
+        {"p50_ms", ms(st.latencyNs.quantile(0.50))},
+        {"p99_ms", ms(st.latencyNs.quantile(0.99))},
+        {"p999_ms", ms(st.latencyNs.quantile(0.999))},
+        {"max_ms", ms(st.latencyNs.max())},
+        {"sla", Json::num(st.slaAttainment, "%.4f")},
+        {"worst_window_sla", Json::num(st.worstWindowAttainment, "%.4f")},
+        {"sla_windows_completed", st.slaWindowsCompleted},
+        {"wall_sec", Json::num(r.wallSec, "%.3f")},
+        {"submitted_per_sec_wall", Json::num(r.submittedPerSecWall(), "%.0f")},
+        {"retired_per_sec_wall", Json::num(r.retiredPerSecWall(), "%.0f")},
+        {"peak_rss_mb", mbJson(r.peakRssBytes)},
+        {"window_events", r.windowEvents},
+        {"window_allocs", r.windowAllocs},
+        {"window_alloc_bytes", r.windowAllocBytes},
+        {"allocs_per_event", Json::num(r.allocsPerEvent(), "%.6f")},
+    });
 }
 
 /** Shared base configuration for the grid cells. */
@@ -522,7 +393,18 @@ headlineTenants()
 int
 main(int argc, char **argv)
 {
-    Options opts = parseOptions(argc, argv);
+    Options opts;
+    bench::parseFlags(argc, argv, {
+        {"--quick", &opts.quick, "smoke size: short horizons"},
+        {"--seed", &opts.seed, "arrival seed"},
+        {"--json", &opts.jsonPath, "results file; history is appended"},
+        bench::queueImplFlag(&opts.impl),
+        {"--boards", &opts.boards, "boards in the headline cluster", 1},
+        {"--rate", &opts.rate,
+         "grid arrival rate per second; 0 keeps the mode's rate", 0},
+        {"--horizon-sec", &opts.horizonSec,
+         "grid horizon in seconds; 0 keeps the mode's horizon", 0},
+    });
     setQuiet(true);
     memhook::setEnabled(false);
 
@@ -535,8 +417,9 @@ main(int argc, char **argv)
                 "shed", "p50ms", "p99ms", "p999ms", "sla", "inv/s", "live",
                 "rss-mb");
 
+    using bench::Json;
     // --- Arrival-process x scheduler grid over the mixed tenants.
-    std::vector<CellResult> grid;
+    Json grid = Json::array();
     for (ArrivalKind kind : {ArrivalKind::Poisson, ArrivalKind::Diurnal,
                              ArrivalKind::ParetoBurst}) {
         for (const char *sched : {"nimblock", "fcfs"}) {
@@ -547,14 +430,14 @@ main(int argc, char **argv)
                                 sched;
             CellResult r = runCell(label, cfg, mixedTenants(), opts);
             printRow(r);
-            grid.push_back(r);
+            grid.push(cellJson(r));
         }
     }
 
     // --- Admission-policy sweep under 2x overload: "none" shows the
     // unbounded live set an open loop accumulates, the shedding policies
     // bound it.
-    std::vector<CellResult> admission;
+    Json admission = Json::array();
     {
         TenantSpec t;
         t.name = "burst";
@@ -586,7 +469,7 @@ main(int argc, char **argv)
                                 admissionPolicyName(policy);
             CellResult r = runCell(label, cfg, {t}, opts);
             printRow(r);
-            admission.push_back(r);
+            admission.push(cellJson(r));
         }
     }
 
@@ -621,7 +504,32 @@ main(int argc, char **argv)
                 static_cast<double>(headline.peakRssBytes) / (1 << 20),
                 headline.horizonSec);
 
-    writeJson(opts.jsonPath, grid, admission, headline, rss_short, opts);
+    Json doc = Json::object({
+        {"bench", "soak"},
+        {"quick", opts.quick},
+        {"seed", opts.seed},
+        {"boards", opts.boards},
+        {"cells", grid},
+        {"admission", admission},
+        {"headline", Json::array().push(cellJson(headline))},
+        {"rss_pair",
+         Json::object({
+             {"short_horizon_sec", Json::num(rss_short.horizonSec, "%.1f")},
+             {"short_peak_rss_mb", mbJson(rss_short.peakRssBytes)},
+             {"long_horizon_sec", Json::num(headline.horizonSec, "%.1f")},
+             {"long_peak_rss_mb", mbJson(headline.peakRssBytes)},
+         })},
+    });
+    Json entry = Json::object({
+        {"quick", opts.quick},
+        {"headline_submitted_per_sec",
+         static_cast<long long>(headline.submittedPerSecWall())},
+        {"headline_retired_per_sec",
+         static_cast<long long>(headline.retiredPerSecWall())},
+        {"headline_allocs_per_event",
+         Json::num(headline.allocsPerEvent(), "%g")},
+    });
+    bench::writeWithHistory(opts.jsonPath, doc, entry);
     std::printf("# wrote %s\n", opts.jsonPath.c_str());
     return 0;
 }

@@ -1,51 +1,90 @@
 /**
  * @file
- * Shared infrastructure for the table/figure reproduction benches.
+ * Shared infrastructure for the bench binaries.
  *
- * Each bench binary regenerates one table or figure of the paper's
- * evaluation. They share the experiment grid (same stimuli for every
- * algorithm, §5.1) and a small command-line surface:
+ * Each figure/table bench regenerates one table or figure of the
+ * paper's evaluation. They share the experiment grid (same stimuli for
+ * every algorithm, §5.1) and the BenchOptions flags; every other bench
+ * declares its own Flags table. A bench's table is the one list of its
+ * flags: `--help` prints it, and the parser enforces it. A missing,
+ * malformed or out-of-range value, an unknown flag and an unknown name
+ * each print one line to stderr and exit with status 2.
  *
- *   --sequences N   sequences per scenario      (default 10, paper: 10)
- *   --events N      events per sequence         (default 20, paper: 20)
- *   --seed S        workload master seed        (default 2023)
- *   --jobs N        worker threads for the grid (default: all cores)
- *   --quick         3 sequences x 10 events, for smoke runs
- *   --csv PATH      also dump the figure's data as CSV
- *   --trace PATH    export per-scheduler Perfetto traces of one stress
- *                   sequence (PATH gets the scheduler name appended)
- *   --dispatch P    pin the cluster dispatch policy in scale-out benches
- *                   (round_robin | least_apps | least_loaded)
- *   --sched S       restrict the bench to one scheduler column (any
- *                   sched/factory.hh name); unknown names print the
- *                   valid list and exit with a usage error
- *
- * An unknown flag prints it and exits with status 2 (usageErrorFlag).
+ * Benches that write results build a Json document and hand it to
+ * writeJson() or, for a dated trajectory, writeWithHistory().
  */
 
 #ifndef NIMBLOCK_BENCH_COMMON_HH
 #define NIMBLOCK_BENCH_COMMON_HH
 
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <map>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "apps/registry.hh"
 #include "core/experiment.hh"
+#include "core/parallel.hh"
+#include "sim/event_queue.hh"
 #include "stats/csv.hh"
 #include "workload/scenario.hh"
 
 namespace nimblock {
 namespace bench {
 
-/** Parsed command-line options. */
+/** A flag whose value must be one of @p names ("unknown <what> ..."). */
+struct Choice
+{
+    std::string *target;
+    const char *what;
+    std::vector<std::string> names;
+};
+
+/**
+ * One row of a flag table: the flag, where its value goes, a one-line
+ * help string and, for a numeric target, the smallest value accepted.
+ * Numbers parse strictly (the whole token; no sign for an unsigned
+ * target). A bool is set by the bare flag; a callback runs where the
+ * flag appears, so a preset such as --quick is overridden by the flags
+ * after it.
+ */
+struct Flag
+{
+    using Target = std::variant<int *, std::uint64_t *, double *,
+                                std::string *, bool *, Choice,
+                                std::function<void()>>;
+
+    const char *name;
+    Target target;
+    const char *help;
+    double min = -std::numeric_limits<double>::infinity();
+};
+
+/** A bench's flag table: the one list of the flags it accepts. */
+using Flags = std::vector<Flag>;
+
+/**
+ * Parse argv into @p flags' targets. `--help` prints flagHelp() and
+ * exits 0; bad input prints one line to stderr and exits 2.
+ */
+void parseFlags(int argc, char **argv, const Flags &flags);
+
+/** The --help text: one line per flag, with its default and minimum. */
+std::string flagHelp(const char *prog, const Flags &flags);
+
+/** Parsed command-line options of the figure/table benches. */
 struct BenchOptions
 {
     int sequences = 10;
     int events = 20;
     std::uint64_t seed = 2023;
-    /** Worker threads for experiment grids; 0 = hardware concurrency. */
-    unsigned jobs = 0;
+    /** Worker threads for experiment grids. */
+    int jobs = static_cast<int>(defaultParallelism());
     std::string csvPath;
     std::string tracePath;
 
@@ -69,12 +108,15 @@ struct BenchOptions
      */
     bool hdrTail = false;
 
-    /** Parse argv; unknown flags are usage errors (exit 2). */
+    /** Parse argv through the shared flag table (see parseFlags()). */
     static BenchOptions parse(int argc, char **argv);
-
-    /** jobs with 0 resolved to the actual hardware default. */
-    unsigned effectiveJobs() const;
 };
+
+/** The `--impl wheel|heap|auto` flag of the event-kernel benches. */
+Flag queueImplFlag(std::string *target);
+
+/** The EventQueueImpl a queueImplFlag() value names. */
+EventQueueImpl queueImpl(const std::string &name);
 
 /** A ready-to-run experiment environment. */
 struct BenchEnv
@@ -94,7 +136,7 @@ struct BenchEnv
     grid() const
     {
         ExperimentGrid g{config, registry};
-        g.setJobs(opts.jobs);
+        g.setJobs(static_cast<unsigned>(opts.jobs));
         return g;
     }
 };
@@ -133,19 +175,66 @@ std::vector<std::string> schedulerSet(const BenchOptions &opts,
                                       std::vector<std::string> defaults);
 
 /**
- * Print "unknown <what> '<got>'; valid: name1, name2, ..." to stderr and
- * exit(2): the usage-error path for flags taking a name from a closed
- * set. Benches are command-line tools — a typo'd name should produce the
- * valid list and a usage exit code, not a fatal() backtrace.
+ * A JSON value built in memory and written in the benches' layout: a
+ * container of scalars on one line, any other one child per line. A
+ * double only enters through num(), with an explicit printf format, so
+ * every field keeps its digits; a non-finite double is written as null.
  */
-[[noreturn]] void usageErrorNames(const char *what, const std::string &got,
-                                  const std::vector<std::string> &valid);
+class Json
+{
+  public:
+    static Json
+    object(std::initializer_list<std::pair<std::string, Json>> members = {});
+    static Json array() { return Json(Kind::Array); }
+
+    /** @p v formatted with @p fmt, or null when it is not finite. */
+    static Json num(double v, const char *fmt);
+
+    Json(const char *s);
+    Json(const std::string &s) : Json(s.c_str()) {}
+    Json(bool b) : _text(b ? "true" : "false") {}
+    template <typename T>
+        requires(std::is_integral_v<T> && !std::is_same_v<T, bool>)
+    Json(T v) : _text(std::to_string(v))
+    {
+    }
+    Json(double) = delete; //!< A double needs a format: use num().
+
+    Json &add(std::string key, Json v); //!< Append an object member.
+    Json &push(Json v);                 //!< Append an array element.
+
+    /** The serialized text, newline-terminated. */
+    std::string dump() const;
+
+  private:
+    enum class Kind
+    {
+        Scalar,
+        Object,
+        Array,
+    };
+
+    explicit Json(Kind k) : _kind(k) {}
+    void dumpTo(std::string &out, std::size_t indent) const;
+
+    friend void writeWithHistory(const std::string &, Json, Json);
+
+    Kind _kind = Kind::Scalar;
+    std::string _text; //!< A scalar's serialized text.
+    std::vector<std::string> _keys;
+    std::vector<Json> _items;
+};
+
+/** Write @p doc to @p path; an unwritable path prints one line, exits 1. */
+void writeJson(const std::string &path, const Json &doc);
 
 /**
- * Print "unknown flag '<flag>'" to stderr and exit(2): the usage-error
- * path every bench's argument parser takes for a flag it does not know.
+ * writeJson() @p doc plus a "history" array: the entries of @p path's
+ * own history, carried over byte for byte, then @p entry with today's
+ * "date" as its first member. Re-running a bench thus accumulates a
+ * dated trajectory instead of overwriting it.
  */
-[[noreturn]] void usageErrorFlag(const std::string &flag);
+void writeWithHistory(const std::string &path, Json doc, Json entry);
 
 /** Short display names used in the paper's figures. */
 std::string displayName(const std::string &scheduler);

@@ -12,7 +12,11 @@ tolerance factor (default 2x) — large enough to never flake, small
 enough that a real algorithmic regression (accidental O(n) in the hot
 loop, a lost fast path) still trips it.
 
-Sections absent from either document are skipped silently: baselines
+The inner-loop baseline and current run must measure the same workload:
+differing "events" or "seed" fails the guard, because throughput at a
+different sequence size is not comparable.
+
+Other sections absent from either document are skipped silently: baselines
 predating a bench section, and runs invoked with flags that omit one,
 must not fail the guard. Soak cells are compared on the intersection of
 cell labels only — grids legitimately differ across quick/full modes
@@ -224,6 +228,13 @@ def main():
     cur = load(args.current)
 
     failures = []
+
+    for key in ("events", "seed"):
+        if base.get(key) != cur.get(key):
+            failures.append(
+                f"inner-loop {key} differ: baseline {base.get(key)} vs "
+                f"current {cur.get(key)}; rerun bench_sim_innerloop with "
+                f"--events {base.get('events')} --seed {base.get('seed')}")
 
     base_sched = index_schedulers(base)
     cur_sched = index_schedulers(cur)

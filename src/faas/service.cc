@@ -82,7 +82,7 @@ RollingSlaWindows::attainment() const
         met += w.met;
     }
     if (total == 0)
-        return 1.0;
+        return std::numeric_limits<double>::quiet_NaN();
     return static_cast<double>(met) / static_cast<double>(total);
 }
 

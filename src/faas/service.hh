@@ -122,7 +122,10 @@ class RollingSlaWindows
     /** Record one completed invocation at @p now. Never allocates. */
     void record(SimTime now, bool slaMet);
 
-    /** Attainment over the retained windows (current included). */
+    /**
+     * Attainment over the retained windows (current included); NaN
+     * before the first record.
+     */
     double attainment() const;
 
     /**

@@ -96,10 +96,10 @@ struct SoakStats
     HdrHistogram latencyNs;
 
     /**
-     * SLA attainment over the retained window ring / worst completed
-     * window (NaN when no window completed).
+     * SLA attainment over the retained window ring (NaN when nothing
+     * retired) / worst completed window (NaN when no window completed).
      */
-    double slaAttainment = 1.0;
+    double slaAttainment = std::numeric_limits<double>::quiet_NaN();
     double worstWindowAttainment = std::numeric_limits<double>::quiet_NaN();
 
     /** SLA windows rolled over during the run, empty ones included. */

@@ -120,6 +120,20 @@ TEST_F(SoakTest, AccountingClosesAndEveryAdmissionRetires)
     EXPECT_LE(s.latencyNs.quantile(0.999), s.latencyNs.max());
 }
 
+TEST_F(SoakTest, NoRetirementReadsNaNNotPerfectAttainment)
+{
+    EXPECT_TRUE(std::isnan(RollingSlaWindows(simtime::sec(1), 4).attainment()));
+    EXPECT_TRUE(std::isnan(SoakStats{}.slaAttainment));
+    // A horizon far shorter than the mean inter-arrival gap: nothing
+    // arrives, nothing retires, and attainment is no data, not 1.0.
+    SoakConfig cfg = baseConfig();
+    cfg.arrivals.ratePerSec = 0.001;
+    cfg.horizon = simtime::ms(1);
+    SoakStats s = SoakEngine(cfg, twoTenants(), Rng(2023)).run();
+    ASSERT_EQ(s.retired, 0u);
+    EXPECT_TRUE(std::isnan(s.slaAttainment));
+}
+
 TEST_F(SoakTest, SameSeedIsByteIdenticalAcrossRuns)
 {
     SoakEngine a(baseConfig(), twoTenants(), Rng(7));

@@ -1,13 +1,12 @@
 /**
  * @file
- * Unit tests for summaries, histograms, tables and CSV output.
+ * Unit tests for summaries, tables and CSV output.
  */
 
 #include <gtest/gtest.h>
 
 #include "sim/logging.hh"
 #include "stats/csv.hh"
-#include "stats/histogram.hh"
 #include "stats/summary.hh"
 #include "stats/table.hh"
 
@@ -86,52 +85,6 @@ TEST(Summary, MergeCombinesSamples)
     a.merge(b);
     EXPECT_EQ(a.count(), 4u);
     EXPECT_DOUBLE_EQ(a.mean(), 2.5);
-}
-
-TEST(Histogram, BinsCountCorrectly)
-{
-    Histogram h(0.0, 10.0, 5);
-    h.add(0.5);  // bin 0
-    h.add(2.5);  // bin 1
-    h.add(9.99); // bin 4
-    EXPECT_EQ(h.binCount(0), 1u);
-    EXPECT_EQ(h.binCount(1), 1u);
-    EXPECT_EQ(h.binCount(4), 1u);
-    EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, UnderOverflow)
-{
-    Histogram h(0.0, 10.0, 2);
-    h.add(-1.0);
-    h.add(10.0); // hi is exclusive
-    h.add(100.0);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-}
-
-TEST(Histogram, BinEdges)
-{
-    Histogram h(0.0, 10.0, 5);
-    EXPECT_DOUBLE_EQ(h.binLo(0), 0.0);
-    EXPECT_DOUBLE_EQ(h.binHi(0), 2.0);
-    EXPECT_DOUBLE_EQ(h.binLo(4), 8.0);
-    EXPECT_DOUBLE_EQ(h.binHi(4), 10.0);
-}
-
-TEST(Histogram, RejectsBadConfig)
-{
-    EXPECT_THROW(Histogram(0.0, 10.0, 0), FatalError);
-    EXPECT_THROW(Histogram(5.0, 5.0, 3), FatalError);
-}
-
-TEST(Histogram, ToStringContainsBars)
-{
-    Histogram h(0.0, 4.0, 2);
-    for (int i = 0; i < 8; ++i)
-        h.add(1.0);
-    std::string s = h.toString(10);
-    EXPECT_NE(s.find("##########"), std::string::npos);
 }
 
 TEST(Table, RendersHeaderAndRows)
